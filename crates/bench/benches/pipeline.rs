@@ -10,6 +10,7 @@ use safe_core::{Safe, SafeConfig};
 use safe_datagen::synth::{generate, SyntheticConfig};
 use safe_gbm::booster::Gbm;
 use safe_gbm::config::GbmConfig;
+use safe_stats::par::Parallelism;
 
 fn dataset(n: usize) -> safe_data::dataset::Dataset {
     generate(&SyntheticConfig {
@@ -41,7 +42,7 @@ fn bench_mining(c: &mut Criterion) {
     group.bench_function("mine_paths", |b| b.iter(|| mine_combinations(&model, 2)));
     let combos = mine_combinations(&model, 2);
     group.bench_function("rank_by_gain_ratio", |b| {
-        b.iter(|| rank_combinations(combos.clone(), &ds, 30))
+        b.iter(|| rank_combinations(combos.clone(), &ds, 30, Parallelism::auto()).unwrap())
     });
     group.finish();
 }

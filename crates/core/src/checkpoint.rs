@@ -10,8 +10,8 @@
 //! - the seed position (the per-iteration RNG seed is a pure function of
 //!   `config.seed` and the iteration index, so the index *is* the RNG
 //!   position),
-//! - cache provenance ([`BinCache`] keys and [`StatsCache`] entry counts —
-//!   metadata only; cached values are rebuilt bit-identically from data),
+//! - bin-cache provenance ([`BinCache`](safe_gbm::binner::BinCache) keys —
+//!   metadata only; cached columns are rebuilt bit-identically from data),
 //! - the [`RunReport`] accumulated so far.
 //!
 //! ## Durability protocol
@@ -204,10 +204,6 @@ pub struct Checkpoint {
     pub report: RunReport,
     /// `(column name, max_bins)` keys the bin cache held (provenance).
     pub bin_keys: Vec<(String, usize)>,
-    /// Number of cached IV values (provenance).
-    pub iv_entries: usize,
-    /// Number of cached Pearson pairs (provenance).
-    pub pearson_entries: usize,
 }
 
 /// Errors from checkpoint serialization, parsing, or storage.
@@ -380,8 +376,6 @@ impl Checkpoint {
             out.push_str(&plan.to_text());
             out.push_str("PLAN_END\n");
         }
-        let _ = writeln!(out, "CACHE\tiv\t{}", self.iv_entries);
-        let _ = writeln!(out, "CACHE\tpearson\t{}", self.pearson_entries);
         for (name, max_bins) in &self.bin_keys {
             let _ = writeln!(out, "BINKEY\t{max_bins}\t{name}");
         }
@@ -437,8 +431,6 @@ impl Checkpoint {
         let mut have_selected: Vec<bool> = Vec::new();
         let mut report: Option<RunReport> = None;
         let mut bin_keys: Vec<(String, usize)> = Vec::new();
-        let mut iv_entries = 0usize;
-        let mut pearson_entries = 0usize;
 
         // Section accumulation for the PLAN / REPORT blocks.
         let mut section: Option<(&str, usize, String)> = None;
@@ -558,14 +550,14 @@ impl Checkpoint {
                 "PLAN_BEGIN" if fields.len() == 2 => {
                     section = Some(("plan", i, String::new()));
                 }
+                // Stats-cache entry counts, written by checkpoints that
+                // predate the cache's removal: validated, then ignored.
                 "CACHE" if fields.len() == 3 => {
-                    let n: usize =
-                        fields[2].parse().map_err(|_| err(i, "bad CACHE count".into()))?;
-                    match fields[1] {
-                        "iv" => iv_entries = n,
-                        "pearson" => pearson_entries = n,
-                        other => return Err(err(i, format!("unknown CACHE kind '{other}'"))),
+                    if !matches!(fields[1], "iv" | "pearson") {
+                        return Err(err(i, format!("unknown CACHE kind '{}'", fields[1])));
                     }
+                    let _: usize =
+                        fields[2].parse().map_err(|_| err(i, "bad CACHE count".into()))?;
                 }
                 "BINKEY" if fields.len() == 3 => {
                     let max_bins: usize =
@@ -617,8 +609,6 @@ impl Checkpoint {
             plans,
             report,
             bin_keys,
-            iv_entries,
-            pearson_entries,
         })
     }
 }
@@ -877,8 +867,6 @@ mod tests {
             plans: vec![plan],
             report: sample_report(),
             bin_keys: vec![("a".into(), 255), ("mul(a,b)".into(), 255)],
-            iv_entries: 9,
-            pearson_entries: 21,
         }
     }
 
@@ -895,8 +883,6 @@ mod tests {
         assert_eq!(a.plans, b.plans);
         assert_eq!(a.report, b.report);
         assert_eq!(a.bin_keys, b.bin_keys);
-        assert_eq!(a.iv_entries, b.iv_entries);
-        assert_eq!(a.pearson_entries, b.pearson_entries);
     }
 
     #[test]
@@ -907,6 +893,35 @@ mod tests {
         assert_ckpt_eq(&ckpt, &parsed);
         // And the re-serialization is byte-identical.
         assert_eq!(parsed.to_text(), text);
+    }
+
+    /// `text` with `records` spliced in before the first `BINKEY` line —
+    /// where the format's earlier writer put its `CACHE` records — and the
+    /// checksum recomputed.
+    fn with_cache_records(text: &str, records: &str) -> String {
+        let body = text.splitn(3, '\n').nth(2).unwrap();
+        let at = body.find("BINKEY\t").unwrap();
+        let body = format!("{}{records}{}", &body[..at], &body[at..]);
+        let checksum = fnv1a64(body.as_bytes());
+        format!("SAFECKPT\t1\nCHECKSUM\t{checksum:016x}\n{body}")
+    }
+
+    #[test]
+    fn stats_cache_records_from_older_snapshots_are_ignored() {
+        // Snapshots written while the stats cache existed carry its entry
+        // counts; they must still load (else resume would quarantine them).
+        let ckpt = sample_checkpoint();
+        let text = ckpt.to_text();
+        let older = with_cache_records(&text, "CACHE\tiv\t9\nCACHE\tpearson\t21\n");
+        let parsed = Checkpoint::from_text(&older).unwrap();
+        assert_ckpt_eq(&ckpt, &parsed);
+        assert_eq!(parsed.to_text(), text, "the writer emits no CACHE records");
+        // Unknown kinds and malformed counts are still parse errors.
+        for bad in ["CACHE\tbins\t3\n", "CACHE\tiv\tmany\n"] {
+            let doc = with_cache_records(&text, bad);
+            let parsed = Checkpoint::from_text(&doc);
+            assert!(matches!(parsed, Err(CkptError::Parse { .. })), "{bad}");
+        }
     }
 
     #[test]
@@ -1081,8 +1096,6 @@ mod tests {
             plans: vec![],
             report: RunReport::default(),
             bin_keys: vec![],
-            iv_entries: 0,
-            pearson_entries: 0,
         };
         let parsed = Checkpoint::from_text(&ckpt.to_text()).unwrap();
         assert_ckpt_eq(&ckpt, &parsed);

@@ -89,7 +89,7 @@ fn subsets_of(items: &[usize], size: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// Scoring telemetry from [`rank_combinations_observed`].
+/// Scoring telemetry from [`rank_combinations`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RankStats {
     /// Combinations that entered the ranking.
@@ -101,25 +101,14 @@ pub struct RankStats {
 }
 
 /// Algorithm 2: score each combination by the information gain ratio of the
-/// partition its split values induce, and keep the top γ.
-pub fn rank_combinations(
-    combos: Vec<Combination>,
-    train: &Dataset,
-    gamma: usize,
-) -> Vec<Combination> {
-    match rank_combinations_observed(combos, train, gamma, Parallelism::auto()) {
-        Ok((combos, _)) => combos,
-        Err(p) => panic!("{p}"),
-    }
-}
-
-/// [`rank_combinations`] with an explicit thread budget, additionally
-/// reporting scoring telemetry. Worker panics surface as [`ParPanic`].
+/// partition its split values induce, and keep the top γ. Scoring runs in
+/// parallel under `par` and also reports telemetry; worker panics surface
+/// as [`ParPanic`].
 ///
 /// A combination of q features with value sets `V_1..V_q` splits the records
 /// into `∏ (|V_i| + 1)` cells; the gain ratio of that partition against the
 /// label is the combination's score.
-pub fn rank_combinations_observed(
+pub fn rank_combinations(
     mut combos: Vec<Combination>,
     train: &Dataset,
     gamma: usize,
@@ -276,7 +265,7 @@ mod tests {
         let ds = xor_like_dataset(800);
         let model = Gbm::new(GbmConfig::miner()).fit(&ds, None).unwrap();
         let combos = mine_combinations(&model, 2);
-        let ranked = rank_combinations(combos, &ds, 5);
+        let (ranked, _) = rank_combinations(combos, &ds, 5, Parallelism::auto()).unwrap();
         assert!(!ranked.is_empty());
         // The top combination must be the {a, b} pair — only jointly do the
         // two features explain an XOR label.
@@ -294,7 +283,7 @@ mod tests {
         let model = Gbm::new(GbmConfig::miner()).fit(&ds, None).unwrap();
         let combos = mine_combinations(&model, 2);
         let total = combos.len();
-        let ranked = rank_combinations(combos, &ds, 2);
+        let (ranked, _) = rank_combinations(combos, &ds, 2, Parallelism::auto()).unwrap();
         assert!(ranked.len() <= 2);
         assert!(total >= ranked.len());
     }
@@ -305,8 +294,7 @@ mod tests {
         let model = Gbm::new(GbmConfig::miner()).fit(&ds, None).unwrap();
         let combos = mine_combinations(&model, 2);
         let total = combos.len() as u64;
-        let (ranked, stats) =
-            rank_combinations_observed(combos, &ds, 3, Parallelism::auto()).unwrap();
+        let (ranked, stats) = rank_combinations(combos, &ds, 3, Parallelism::auto()).unwrap();
         assert_eq!(stats.candidates_in, total);
         assert_eq!(stats.gamma_truncated, total - ranked.len() as u64);
         // Every combination induces at least 2 cells (one cut ⇒ two sides).

@@ -86,8 +86,9 @@ pub struct SafeConfig {
     pub selection: SelectionMode,
     /// Seed for the randomized strategies and subsampling.
     pub seed: u64,
-    /// Pre-fit data audit policy (see [`safe_data::audit`]). The default
-    /// warns on degenerate columns without modifying the data; switch to
+    /// Pre-fit data audit policy (see
+    /// [`safe_data::audit`](mod@safe_data::audit)). The default warns on
+    /// degenerate columns without modifying the data; switch to
     /// [`safe_data::AuditPolicy::Repair`] to drop/impute them, or
     /// [`safe_data::AuditPolicy::Reject`] to fail fast.
     pub audit: AuditConfig,
@@ -105,10 +106,10 @@ pub struct SafeConfig {
     /// knob in [`GbmConfig`]; use [`SafeConfig::with_threads`] to set all
     /// three at once.
     pub parallelism: Parallelism,
-    /// Reuse per-column work across iterations: binned `u16` columns for the
-    /// miner/ranker boosters ([`crate::cache::BinCache`]) and finalized
-    /// IV/Pearson statistics ([`crate::cache::StatsCache`]), keyed by stable
-    /// column names. Results are **bit-identical** with the cache on or off
+    /// Reuse binned `u16` columns for the miner/ranker boosters (and the
+    /// staged redundancy scan) across iterations through a
+    /// [`BinCache`](safe_gbm::binner::BinCache) keyed by stable column
+    /// names. Results are **bit-identical** with the cache on or off
     /// (`tests/cache_differential.rs` pins this); disabling only exists for
     /// benchmarking the cold path. Default `true`.
     pub cache: bool,
@@ -361,8 +362,8 @@ impl SafeConfigBuilder {
         self
     }
 
-    /// Toggle the cross-iteration training caches (bin columns, IV/Pearson
-    /// values). On by default; results are bit-identical either way.
+    /// Toggle the cross-iteration bin cache for the boosters. On by
+    /// default; results are bit-identical either way.
     pub fn cache(mut self, cache: bool) -> Self {
         self.config.cache = cache;
         self

@@ -111,7 +111,7 @@ fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
     out
 }
 
-/// Generation telemetry from [`generate_features_observed`].
+/// Generation telemetry from [`generate_features`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GenerateStats {
     /// Features generated per operator family, in first-seen order.
@@ -134,23 +134,6 @@ impl GenerateStats {
             Some((_, n)) => *n += 1,
             None => self.per_op.push((op.to_string(), 1)),
         }
-    }
-}
-
-/// Apply every applicable operator to every combination. Features whose
-/// names collide with existing columns (or earlier generated ones) are
-/// skipped; features that come out constant or all-missing on the training
-/// set are discarded immediately (they cannot survive the IV filter anyway
-/// and would waste selection work).
-pub fn generate_features(
-    train: &Dataset,
-    valid: Option<&Dataset>,
-    combos: &[Combination],
-    registry: &OperatorRegistry,
-) -> Vec<GeneratedFeature> {
-    match generate_features_observed(train, valid, combos, registry, Parallelism::auto()) {
-        Ok((out, _)) => out,
-        Err(p) => panic!("{p}"),
     }
 }
 
@@ -179,15 +162,19 @@ enum ComboWork {
     Candidates(Vec<Candidate>),
 }
 
-/// [`generate_features`] with an explicit thread budget, additionally
-/// reporting per-operator counts and how many candidates were skipped (and
+/// Apply every applicable operator to every combination, in parallel under
+/// `par`. Features whose names collide with existing columns (or earlier
+/// generated ones) are skipped; features that come out constant or
+/// all-missing on the training set are discarded immediately (they cannot
+/// survive the IV filter anyway and would waste selection work). Also
+/// reports per-operator counts and how many candidates were skipped (and
 /// why). Worker panics surface as [`ParPanic`].
 ///
 /// Operator fitting and application run one combination per work item; the
 /// results are then merged serially in combination order, so name-collision
 /// bookkeeping, per-operator counts and output ordering are bit-identical
 /// to the serial path for any thread count.
-pub fn generate_features_observed(
+pub fn generate_features(
     train: &Dataset,
     valid: Option<&Dataset>,
     combos: &[Combination],
@@ -341,6 +328,17 @@ mod tests {
         .unwrap()
     }
 
+    fn generate(
+        train: &Dataset,
+        valid: Option<&Dataset>,
+        combos: &[Combination],
+        registry: &OperatorRegistry,
+    ) -> Vec<GeneratedFeature> {
+        generate_features(train, valid, combos, registry, Parallelism::auto())
+            .unwrap()
+            .0
+    }
+
     fn pair_combo() -> Combination {
         Combination {
             features: vec![0, 1],
@@ -353,7 +351,7 @@ mod tests {
     fn arithmetic_pair_generates_expected_features() {
         // add, mul once each; sub, div in both orders → 6 candidates, but
         // add(a,b) is constant (a+b = 5 on this fixture) and is dropped.
-        let out = generate_features(&ds(), None, &[pair_combo()], &OperatorRegistry::arithmetic());
+        let out = generate(&ds(), None, &[pair_combo()], &OperatorRegistry::arithmetic());
         assert_eq!(out.len(), 5, "{:?}", out.iter().map(|g| &g.name).collect::<Vec<_>>());
         let names: Vec<&str> = out.iter().map(|g| g.name.as_str()).collect();
         assert!(names.contains(&"sub(a,b)"));
@@ -365,7 +363,7 @@ mod tests {
 
     #[test]
     fn values_are_correct() {
-        let out = generate_features(&ds(), None, &[pair_combo()], &OperatorRegistry::arithmetic());
+        let out = generate(&ds(), None, &[pair_combo()], &OperatorRegistry::arithmetic());
         let sub = out.iter().find(|g| g.name == "sub(a,b)").unwrap();
         assert_eq!(sub.train_values, vec![-3.0, -1.0, 1.0, 3.0]);
         let div = out.iter().find(|g| g.name == "div(b,a)").unwrap();
@@ -375,7 +373,7 @@ mod tests {
     #[test]
     fn degenerate_outputs_are_dropped() {
         // add(a,b) is constant 5 on this data → must be filtered out.
-        let out = generate_features(&ds(), None, &[pair_combo()], &OperatorRegistry::arithmetic());
+        let out = generate(&ds(), None, &[pair_combo()], &OperatorRegistry::arithmetic());
         assert!(out.iter().all(|g| g.name != "add(a,b)") || {
             let add = out.iter().find(|g| g.name == "add(a,b)").unwrap();
             add.train_values.windows(2).any(|w| w[0] != w[1])
@@ -396,7 +394,7 @@ mod tests {
             Some(vec![1]),
         )
         .unwrap();
-        let out = generate_features(&train, Some(&valid), &[pair_combo()], &OperatorRegistry::arithmetic());
+        let out = generate(&train, Some(&valid), &[pair_combo()], &OperatorRegistry::arithmetic());
         let div = out.iter().find(|g| g.name == "div(a,b)").unwrap();
         assert_eq!(div.valid_values.as_ref().unwrap(), &vec![2.0]);
     }
@@ -410,7 +408,7 @@ mod tests {
                 vec![0.0; 4],
             )
             .unwrap();
-        let out = generate_features(&train, None, &[pair_combo()], &OperatorRegistry::arithmetic());
+        let out = generate(&train, None, &[pair_combo()], &OperatorRegistry::arithmetic());
         assert!(!out.iter().any(|g| g.name == "mul(a,b)"));
     }
 
@@ -421,7 +419,7 @@ mod tests {
             split_values: vec![vec![2.0]],
             gain_ratio: 0.5,
         };
-        let out = generate_features(&ds(), None, &[combo], &OperatorRegistry::standard());
+        let out = generate(&ds(), None, &[combo], &OperatorRegistry::standard());
         assert!(out.iter().any(|g| g.name == "square(a)"));
         assert!(out.iter().any(|g| g.name == "log(a)"));
         // No binary ops applied to a unary combo.
@@ -432,7 +430,7 @@ mod tests {
     fn generate_stats_account_for_every_candidate() {
         // add(a,b) is constant on this fixture → one degenerate discard;
         // the five survivors split as add:0, sub:2, mul:1, div:2.
-        let (out, stats) = generate_features_observed(
+        let (out, stats) = generate_features(
             &ds(),
             None,
             &[pair_combo()],
@@ -454,7 +452,7 @@ mod tests {
                 vec![0.0; 4],
             )
             .unwrap();
-        let (_, stats) = generate_features_observed(
+        let (_, stats) = generate_features(
             &train,
             None,
             &[pair_combo()],

@@ -13,28 +13,28 @@
 //!   the worst case the identity plan over the original schema) always
 //!   comes back.
 //!
-//! The pre-fit data audit ([`safe_data::audit`]) runs first under
-//! [`crate::config::SafeConfig::audit`]; its report is part of the
-//! [`SafeOutcome`].
+//! The pre-fit data audit ([`safe_data::audit`](mod@safe_data::audit))
+//! runs first under [`crate::config::SafeConfig::audit`]; its report is
+//! part of the [`SafeOutcome`].
 
 use std::collections::{BTreeMap, HashSet};
 use std::time::{Duration, Instant};
 
 use safe_data::audit::{enforce, AuditReport};
 use safe_data::dataset::{Dataset, FeatureMeta};
-use safe_gbm::booster::Gbm;
-use safe_obs::{stages, EventSink, ReportBuilder, RunReport, StageGuard, Waterfall};
+use safe_gbm::binner::BinCache;
+use safe_gbm::booster::{Gbm, GbmModel};
+use safe_gbm::error::GbmError;
+use safe_obs::{stages, ReportBuilder, RunReport, StageGuard, Waterfall};
+use safe_stats::par::ParPanic;
 
-use crate::cache::{BinCache, StatsCache};
 use crate::checkpoint::{Checkpoint, CheckpointStore, ConfigFingerprint, Terminal};
-use crate::combine::{mine_combinations, random_combinations, rank_combinations_observed, Combination};
+use crate::combine::{mine_combinations, random_combinations, rank_combinations, Combination};
 use crate::config::{GenerationStrategy, SafeConfig, SelectionMode};
-use crate::generate::generate_features_observed;
+use crate::generate::{generate_features, GeneratedFeature};
 use crate::plan::{FeaturePlan, PlanStep};
 use crate::selection::staged::{staged_prune, StagedConfig};
-use crate::selection::{
-    iv_filter_cached, rank_and_cap_cached, redundancy_filter_binned, redundancy_filter_cached,
-};
+use crate::selection::{iv_filter, rank_and_cap, redundancy_filter, redundancy_filter_binned};
 
 pub use crate::error::SafeError;
 
@@ -255,7 +255,9 @@ impl Safe {
     }
 
     /// The shared fit loop behind [`Safe::fit`] (cold start) and
-    /// [`Safe::fit_resumed`] (continue from a [`Checkpoint`]).
+    /// [`Safe::fit_resumed`] (continue from a [`Checkpoint`]): audit,
+    /// restore the working feature set, then one [`Safe::iterate`] per
+    /// iteration, each closed by [`Safe::close_iteration`].
     fn run(
         &self,
         train: &Dataset,
@@ -271,727 +273,372 @@ impl Safe {
         }
 
         let sink = self.config.sink.as_dyn();
-        let resuming = resume.is_some();
         // On resume the builder is seeded with the checkpointed report so
         // the finished report covers the whole run, not just this segment.
         let mut rb = match &resume {
             Some(ckpt) => ReportBuilder::resume(sink, ckpt.report.clone()),
             None => ReportBuilder::new(sink),
         };
-        // Thread budget shared by the parallel stages; each stage records it
-        // as a `threads` counter. It is an execution-environment value —
-        // results are identical for any setting — so `RunReport::structural_eq`
-        // excludes it from comparisons.
-        let par = self.config.parallelism;
-
-        // --- pre-fit data audit ---------------------------------------
-        // On resume the audit re-runs (its repairs must be reapplied for the
-        // schema to line up) but is NOT re-instrumented: the carried report
-        // already holds the first segment's audit span and warnings, and
-        // `enforce` is deterministic — same data, same findings.
-        let (audit_report, repaired) = if resuming {
-            enforce(train, &self.config.audit)?
-        } else {
-            let (audit_report, repaired) = {
-                let mut g = rb.stage(stages::AUDIT);
-                let result = enforce(train, &self.config.audit);
-                if let Ok((report, _)) = &result {
-                    g.counter("findings", report.findings.len() as u64);
-                    g.counter("repairs", report.actions.len() as u64);
-                }
-                result
-            }?;
-            for finding in &audit_report.findings {
-                rb.warn(stages::AUDIT, finding.code(), &finding.to_string());
-            }
-            for action in &audit_report.actions {
-                rb.warn(stages::AUDIT, "audit-repair", &action.to_string());
-            }
-            (audit_report, repaired)
-        };
-        let repaired_train;
-        let train: &Dataset = match repaired {
-            Some(ds) => {
-                repaired_train = ds;
-                &repaired_train
-            }
-            None => train,
-        };
+        let (audit, repaired) = self.audit(train, resume.is_some(), &mut rb)?;
+        let train = repaired.as_ref().unwrap_or(train);
         // Repairs change the schema; replay them on the validation set so
         // train and valid stay column-aligned.
         let valid: Option<Dataset> = match valid {
-            Some(v) if !audit_report.actions.is_empty() => Some(
-                audit_report
+            Some(v) if !audit.actions.is_empty() => Some(
+                audit
                     .replay(v)
                     .map_err(|e| SafeError::Data(e.to_string()))?,
             ),
-            Some(v) => Some(v.clone()),
-            None => None,
+            other => other.cloned(),
+        };
+        let original_names = feature_name_vec(train);
+
+        let (first, prior_elapsed_us, history, plans) = match resume {
+            // A finished run reconstructs its outcome straight from the
+            // snapshot — no iterations re-run, resume is idempotent.
+            Some(ckpt) if ckpt.terminal.is_final() => {
+                return Ok(outcome(
+                    &original_names,
+                    ckpt.history,
+                    ckpt.plans,
+                    audit,
+                    rb,
+                ));
+            }
+            Some(ckpt) => (
+                ckpt.iterations_done,
+                ckpt.elapsed_us,
+                ckpt.history,
+                ckpt.plans,
+            ),
+            None => (0, 0, Vec::new(), Vec::new()),
+        };
+        // The catalog only ever contributes steps reachable from selected
+        // outputs, so the last plan's steps reconstruct it on resume.
+        let (current_train, current_valid, catalog) = match plans.last() {
+            Some(plan) => {
+                let (t, v) = self.replay(plan, train, valid.as_ref())?;
+                (
+                    t,
+                    v,
+                    plan.steps
+                        .iter()
+                        .map(|s| (s.name.clone(), s.clone()))
+                        .collect(),
+                )
+            }
+            None => (train.clone(), valid, BTreeMap::new()),
+        };
+        let mut st = IterState {
+            rb,
+            store: self.config.checkpoint_dir.clone().map(CheckpointStore::new),
+            original_names,
+            train: current_train,
+            valid: current_valid,
+            catalog,
+            history,
+            plans,
+            bin_cache: self.config.cache.then(BinCache::new),
+            start: Instant::now(),
+            prior_elapsed_us,
         };
 
-        let original_names: Vec<String> =
-            train.feature_names().iter().map(|s| s.to_string()).collect();
-        let cap = self.config.output_multiplier * train.n_cols();
+        self.iterate_from(&mut st, first)?;
+        record_oocore(train, &mut st.rb);
+        Ok(outcome(
+            &st.original_names,
+            st.history,
+            st.plans,
+            audit,
+            st.rb,
+        ))
+    }
 
-        // Cross-iteration caches (see `crate::cache`): binned columns for
-        // the miner/ranker boosters, finalized IV/Pearson values for the
-        // selection stages. Column names are stable provenance, so entries
-        // stay valid for every column that survives an iteration. `None`
-        // when disabled — results are bit-identical either way.
-        let mut bin_cache = self.config.cache.then(BinCache::new);
-        let mut stats_cache = self.config.cache.then(StatsCache::new);
-
-        // Durable checkpointing is on whenever a directory is configured.
-        let store = self
-            .config
-            .checkpoint_dir
-            .as_ref()
-            .map(|d| CheckpointStore::new(d.clone()));
-
-        // Every generated feature ever defined, for transitive plan assembly.
-        let mut catalog: BTreeMap<String, PlanStep> = BTreeMap::new();
-        let mut current_train: Dataset;
-        let mut current_valid: Option<Dataset>;
-        let mut history: Vec<IterationReport>;
-        let mut plans: Vec<FeaturePlan>;
-        let start_iteration: usize;
-        let prior_elapsed_us: u64;
-        match resume {
-            Some(ckpt) => {
-                // A finished run reconstructs its outcome straight from the
-                // snapshot — no iterations re-run, resume is idempotent.
-                if ckpt.terminal.is_final() {
-                    let plan = ckpt.plans.last().cloned().unwrap_or_else(|| FeaturePlan {
-                        input_names: original_names.clone(),
-                        steps: Vec::new(),
-                        outputs: original_names.clone(),
-                    });
-                    return Ok(SafeOutcome {
-                        plan,
-                        history: ckpt.history,
-                        plans_per_iteration: ckpt.plans,
-                        audit: audit_report,
-                        report: rb.finish(),
-                    });
-                }
-                // Rebuild the working feature set by replaying the last good
-                // plan over the audited originals. Plan replay is
-                // deterministic and equal to the in-loop columns (the plan
-                // replay differential pins this), so the resumed loop sees
-                // exactly the state the crashed run held after its last
-                // completed iteration. The catalog only ever contributes
-                // steps reachable from selected outputs, so the last plan's
-                // steps are a sufficient reconstruction.
-                match ckpt.plans.last() {
-                    Some(last_plan) => {
-                        let compiled =
-                            last_plan.compile(&self.config.operators).map_err(|e| {
-                                SafeError::Checkpoint(format!(
-                                    "checkpointed plan does not compile against the \
-                                     configured operator registry: {e}"
-                                ))
-                            })?;
-                        current_train = compiled.apply(train).map_err(|e| {
-                            SafeError::Checkpoint(format!(
-                                "checkpointed plan does not replay on the training data: {e}"
-                            ))
-                        })?;
-                        current_valid = match &valid {
-                            Some(v) => Some(compiled.apply(v).map_err(|e| {
-                                SafeError::Checkpoint(format!(
-                                    "checkpointed plan does not replay on the validation \
-                                     data: {e}"
-                                ))
-                            })?),
-                            None => None,
-                        };
-                        for step in &last_plan.steps {
-                            catalog.insert(step.name.clone(), step.clone());
-                        }
-                    }
-                    None => {
-                        current_train = train.clone();
-                        current_valid = valid;
-                    }
-                }
-                start_iteration = ckpt.iterations_done;
-                prior_elapsed_us = ckpt.elapsed_us;
-                history = ckpt.history;
-                plans = ckpt.plans;
-            }
-            None => {
-                current_train = train.clone();
-                current_valid = valid;
-                history = Vec::new();
-                plans = Vec::new();
-                start_iteration = 0;
-                prior_elapsed_us = 0;
-            }
-        }
-
-        let start = Instant::now();
-        let prior_elapsed = Duration::from_micros(prior_elapsed_us);
-        let max_iters = if self.config.n_iterations > 0 {
-            self.config.n_iterations
-        } else {
-            usize::MAX
+    /// Run iterations `first..` until one converges, degrades, finds the
+    /// time budget spent, or `n_iterations` is reached. Each iteration is
+    /// closed by [`Safe::close_iteration`].
+    fn iterate_from(&self, st: &mut IterState<'_>, first: usize) -> Result<(), SafeError> {
+        let max_iters = match self.config.n_iterations {
+            0 => usize::MAX,
+            n => n,
         };
-
-        for iteration in start_iteration..max_iters {
-            if let Some(budget) = self.config.time_budget {
-                if prior_elapsed + start.elapsed() >= budget {
-                    rb.begin_iteration(iteration);
-                    rb.warn(stages::ITERATION, "skipped", "time budget exhausted");
-                    let selected = feature_name_vec(&current_train);
-                    history.push(stub_report(
-                        iteration,
-                        &current_train,
-                        selected.clone(),
-                        0,
-                        IterationStatus::Skipped {
-                            reason: "time budget exhausted".into(),
-                        },
-                    ));
-                    plans.push(build_plan(&original_names, &catalog, &selected));
-                    rb.end_iteration("skipped");
-                    if let Some(store) = store.as_ref() {
-                        write_checkpoint(
-                            store,
-                            &self.config,
-                            &history,
-                            &plans,
-                            rb.snapshot(),
-                            bin_cache.as_ref(),
-                            stats_cache.as_ref(),
-                            Terminal::Skipped,
-                            prior_elapsed_us + start.elapsed().as_micros() as u64,
-                            sink,
-                            iteration,
-                        );
-                    }
-                    break;
-                }
+        for iteration in first..max_iters {
+            let budget_spent = self.config.time_budget.is_some_and(|budget| {
+                Duration::from_micros(st.prior_elapsed_us) + st.start.elapsed() >= budget
+            });
+            st.rb.begin_iteration(iteration);
+            if budget_spent {
+                let reason = "time budget exhausted";
+                st.rb.warn(stages::ITERATION, "skipped", reason);
+                let status = IterationStatus::Skipped {
+                    reason: reason.into(),
+                };
+                let report = st.carried_over(iteration, None, 0, status);
+                self.close_iteration(st, report, Terminal::Skipped)?;
+                break;
             }
-            rb.begin_iteration(iteration);
             let iter_start = Instant::now();
-
-            // On any stage failure: record the iteration as degraded, fall
-            // back to the current (last good) feature set, stop the loop.
-            // The failure also surfaces as a structured `warn` event.
-            macro_rules! degrade {
-                ($stage:literal, $reason:expr) => {{
-                    let reason: String = $reason;
-                    rb.warn($stage, "degraded", &reason);
-                    let selected = feature_name_vec(&current_train);
-                    history.push(stub_report(
-                        iteration,
-                        &current_train,
-                        selected.clone(),
-                        iter_start.elapsed().as_micros() as u64,
-                        IterationStatus::Degraded {
-                            stage: $stage,
-                            reason,
-                        },
-                    ));
-                    plans.push(build_plan(&original_names, &catalog, &selected));
-                    rb.end_iteration("degraded");
-                    if let Some(store) = store.as_ref() {
-                        write_checkpoint(
-                            store,
-                            &self.config,
-                            &history,
-                            &plans,
-                            rb.snapshot(),
-                            bin_cache.as_ref(),
-                            stats_cache.as_ref(),
-                            Terminal::Degraded,
-                            prior_elapsed_us + start.elapsed().as_micros() as u64,
-                            sink,
-                            iteration,
-                        );
-                    }
-                    break;
-                }};
-            }
-
-            // --- feature generation (Section IV-B) -------------------------
-            let combos = match self.make_combinations(
-                &current_train,
-                &current_valid,
-                iteration,
-                bin_cache.as_mut(),
-                &mut rb,
-            ) {
-                Ok(c) => c,
-                Err(e) => degrade!("mine", e.chain_string()),
-            };
-            let n_combinations = combos.0;
-            let ranked = combos.1;
-            let n_kept = ranked.len();
-
-            let gen_result = {
-                let mut g = rb.stage(stages::GENERATE);
-                g.counter("threads", par.resolve() as u64);
-                match generate_features_observed(
-                    &current_train,
-                    current_valid.as_ref(),
-                    &ranked,
-                    &self.config.operators,
-                    par,
-                ) {
-                    Ok((generated, stats)) => {
-                        for (op, count) in &stats.per_op {
-                            g.counter(&format!("op_{op}"), *count);
-                        }
-                        g.counter("degenerate_discarded", stats.degenerate_discarded);
-                        g.counter("name_collisions", stats.name_collisions);
-                        g.counter("op_fit_errors", stats.op_fit_errors);
-                        g.counter("stale_combinations", stats.stale_combinations);
-                        g.set_flow(n_kept as u64, generated.len() as u64);
-                        Ok(generated)
-                    }
-                    Err(p) => Err(p),
-                }
-            };
-            let generated = match gen_result {
-                Ok(g) => g,
-                Err(p) => {
-                    degrade!("generate", SafeError::worker_panic("generate", p).chain_string())
-                }
-            };
-            let n_generated = generated.len();
-
-            // Candidate set X̂ = X ∪ X̃.
-            let mut cand_train = current_train.clone();
-            let mut cand_valid = current_valid.clone();
-            let mut push_err: Option<String> = None;
-            for g in &generated {
-                catalog.insert(
-                    g.name.clone(),
-                    PlanStep {
-                        name: g.name.clone(),
-                        op: g.op.clone(),
-                        parents: g.parents.clone(),
-                        params: g.params.clone(),
-                    },
-                );
-                let meta = FeatureMeta::generated(g.name.clone(), g.op.clone(), g.parents.clone());
-                if let Err(e) = cand_train.push_column(meta.clone(), g.train_values.clone()) {
-                    push_err = Some(e.to_string());
-                    break;
-                }
-                if let (Some(v), Some(values)) = (cand_valid.as_mut(), g.valid_values.as_ref()) {
-                    if let Err(e) = v.push_column(meta, values.clone()) {
-                        push_err = Some(e.to_string());
+            match self.iterate(st, iteration, iter_start) {
+                Ok((report, converged)) => {
+                    let terminal = if converged {
+                        Terminal::Converged
+                    } else if iteration + 1 == max_iters {
+                        Terminal::ItersExhausted
+                    } else {
+                        Terminal::Running
+                    };
+                    self.close_iteration(st, report, terminal)?;
+                    if converged {
                         break;
                     }
                 }
+                // A failed stage records the iteration as degraded, falls
+                // back to the current (last good) feature set, and stops
+                // the loop. The failure also surfaces as a structured warn.
+                Err(fail) => {
+                    st.rb.warn(fail.stage, "degraded", &fail.reason);
+                    let elapsed_us = iter_start.elapsed().as_micros() as u64;
+                    let status = IterationStatus::Degraded {
+                        stage: fail.stage,
+                        reason: fail.reason,
+                    };
+                    let report = st.carried_over(iteration, fail.funnel, elapsed_us, status);
+                    self.close_iteration(st, report, Terminal::Degraded)?;
+                    break;
+                }
             }
-            if let Some(reason) = push_err {
-                degrade!("generate", reason);
-            }
-            let n_candidates = cand_train.n_cols();
+        }
+        Ok(())
+    }
 
-            // --- staged candidate pruning (SelectionMode::Staged only) -----
-            // Successive halving whittles the pool down to a finalist set
-            // before the exact stages run; exact mode takes the whole pool
-            // straight through, bit-identical to the pre-staged pipeline
-            // (no extra stage, no extra counters).
-            let staged_finalists: Option<Vec<usize>> = match self.config.selection {
-                SelectionMode::Exact => None,
-                SelectionMode::Staged => {
-                    let staged_cfg = StagedConfig::for_pool(
-                        cap,
-                        n_candidates,
-                        self.config.beta,
-                        self.config
-                            .seed
-                            .wrapping_add(iteration as u64)
-                            .wrapping_mul(0x9E3779B97F4A7C15),
-                    );
-                    let all_candidates: Vec<usize> = (0..n_candidates).collect();
-                    let staged_result = {
-                        let mut g = rb.stage(stages::STAGED_PRUNE);
-                        g.counter("threads", par.resolve() as u64);
-                        g.counter("finalist_target", staged_cfg.finalist_target as u64);
-                        match staged_prune(&cand_train, &all_candidates, &staged_cfg, par) {
-                            Ok((finalists, rep)) => {
-                                g.counter("rungs", rep.rungs.len() as u64);
-                                g.counter("rows_scored", rep.rows_scored());
-                                g.counter("short_circuited", rep.short_circuited as u64);
-                                if let Some(last) = rep.rungs.last() {
-                                    g.counter("final_sample_rows", last.sample_rows as u64);
-                                }
-                                g.set_flow(n_candidates as u64, finalists.len() as u64);
-                                Ok(finalists)
-                            }
-                            Err(p) => Err(p),
-                        }
-                    };
-                    match staged_result {
-                        Ok(f) => Some(f),
-                        Err(p) => degrade!(
-                            "staged-prune",
-                            SafeError::worker_panic("staged-prune", p).chain_string()
-                        ),
-                    }
-                }
-            };
-            // The pool the exact stages see: everything (Exact) or the
-            // staged finalists (Staged). Finalist column selection keeps
-            // names and values, so the stats/bin caches stay valid.
-            let staged_train: Dataset;
-            let staged_valid: Option<Dataset>;
-            let (sel_train, sel_valid): (&Dataset, Option<&Dataset>) = match &staged_finalists {
-                None => (&cand_train, cand_valid.as_ref()),
-                Some(finalists) => {
-                    staged_train = match cand_train.select_columns(finalists) {
-                        Ok(ds) => ds,
-                        Err(e) => degrade!("staged-prune", e.to_string()),
-                    };
-                    staged_valid = match &cand_valid {
-                        Some(v) => match v.select_columns(finalists) {
-                            Ok(ds) => Some(ds),
-                            Err(e) => degrade!("staged-prune", e.to_string()),
-                        },
-                        None => None,
-                    };
-                    (&staged_train, staged_valid.as_ref())
-                }
-            };
-            let n_pool = sel_train.n_cols();
-
-            // --- feature selection (Section IV-C) --------------------------
-            let iv_result = {
-                let mut g = rb.stage(stages::IV_FILTER);
-                g.counter("threads", par.resolve() as u64);
-                let before = stats_cache
-                    .as_ref()
-                    .map(|c| (c.iv_hits(), c.iv_misses()));
-                match iv_filter_cached(
-                    sel_train,
-                    self.config.alpha,
-                    self.config.beta,
-                    par,
-                    stats_cache.as_mut(),
-                ) {
-                    Ok(survivors) => {
-                        if let (Some(c), Some((h0, m0))) = (stats_cache.as_ref(), before) {
-                            g.counter("cache_iv_hits", c.iv_hits() - h0);
-                            g.counter("cache_iv_misses", c.iv_misses() - m0);
-                        }
-                        g.counter("dropped_alpha", (n_pool - survivors.len()) as u64);
-                        g.set_flow(n_pool as u64, survivors.len() as u64);
-                        Ok(survivors)
-                    }
-                    Err(p) => Err(p),
-                }
-            };
-            let iv_survivors = match iv_result {
-                Ok(s) => s,
-                Err(p) => {
-                    degrade!("iv-filter", SafeError::worker_panic("iv-filter", p).chain_string())
-                }
-            };
-            let n_after_iv = iv_survivors.len();
-            if iv_survivors.is_empty() {
-                // Nothing clears α: keep the current feature set and stop —
-                // models need at least one column.
-                let reason = "no candidate cleared the IV threshold α";
-                rb.warn(stages::IV_FILTER, "degraded", reason);
-                let selected = feature_name_vec(&current_train);
-                history.push(IterationReport {
-                    iteration,
-                    n_combinations,
-                    n_combinations_kept: n_kept,
-                    n_generated,
-                    n_candidates,
-                    n_after_iv,
-                    n_after_redundancy: 0,
-                    n_selected: selected.len(),
-                    selected: selected.clone(),
-                    elapsed_us: iter_start.elapsed().as_micros() as u64,
-                    status: IterationStatus::Degraded {
-                        stage: "iv-filter",
-                        reason: reason.into(),
-                    },
-                });
-                plans.push(build_plan(&original_names, &catalog, &selected));
-                rb.end_iteration("degraded");
-                if let Some(store) = store.as_ref() {
-                    write_checkpoint(
-                        store,
-                        &self.config,
-                        &history,
-                        &plans,
-                        rb.snapshot(),
-                        bin_cache.as_ref(),
-                        stats_cache.as_ref(),
-                        Terminal::Degraded,
-                        prior_elapsed_us + start.elapsed().as_micros() as u64,
-                        sink,
-                        iteration,
-                    );
-                }
-                break;
+    /// The pre-fit data audit under [`SafeConfig::audit`]: its report plus
+    /// the repaired training set, if it repaired anything.
+    ///
+    /// On resume the audit re-runs (its repairs must be reapplied for the
+    /// schema to line up) but is NOT re-instrumented: the carried report
+    /// already holds the first segment's audit span and warnings, and
+    /// `enforce` is deterministic — same data, same findings.
+    fn audit(
+        &self,
+        train: &Dataset,
+        resuming: bool,
+        rb: &mut ReportBuilder<'_>,
+    ) -> Result<(AuditReport, Option<Dataset>), SafeError> {
+        if resuming {
+            return Ok(enforce(train, &self.config.audit)?);
+        }
+        let (report, repaired) = {
+            let mut g = rb.stage(stages::AUDIT);
+            let result = enforce(train, &self.config.audit);
+            if let Ok((report, _)) = &result {
+                g.counter("findings", report.findings.len() as u64);
+                g.counter("repairs", report.actions.len() as u64);
             }
-            let kept_result: Result<Vec<usize>, String> = {
-                let mut g = rb.stage(stages::REDUNDANCY);
-                g.counter("threads", par.resolve() as u64);
-                let scanned = match self.config.selection {
-                    // Exact: f64 Pearson over full columns, through the
-                    // cross-iteration stats cache — the pre-staged path,
-                    // untouched.
-                    SelectionMode::Exact => {
-                        let before = stats_cache
-                            .as_ref()
-                            .map(|c| (c.pearson_hits(), c.pearson_misses()));
-                        match redundancy_filter_cached(
-                            sel_train,
-                            &iv_survivors,
-                            self.config.theta,
-                            par,
-                            stats_cache.as_mut(),
-                        ) {
-                            Ok(res) => {
-                                if let (Some(c), Some((h0, m0))) = (stats_cache.as_ref(), before)
-                                {
-                                    g.counter("cache_pearson_hits", c.pearson_hits() - h0);
-                                    g.counter("cache_pearson_misses", c.pearson_misses() - m0);
-                                }
-                                Ok(res)
-                            }
-                            Err(p) => {
-                                Err(SafeError::worker_panic("redundancy", p).chain_string())
-                            }
-                        }
-                    }
-                    // Staged: integer co-occurrence kernel over u16 bin
-                    // columns at the ranker's bin budget, shared with the
-                    // rank-topk booster through the bin cache. Binned ρ is
-                    // not bitwise-equal to exact ρ, so the f64 stats cache
-                    // is deliberately not consulted.
-                    SelectionMode::Staged => {
-                        g.counter("binned", 1);
-                        redundancy_filter_binned(
-                            sel_train,
-                            &iv_survivors,
-                            self.config.theta,
-                            self.config.ranker.max_bins,
-                            par,
-                            bin_cache.as_mut(),
-                        )
-                        .map_err(|e| e.to_string())
-                    }
+            result
+        }?;
+        for finding in &report.findings {
+            rb.warn(stages::AUDIT, finding.code(), &finding.to_string());
+        }
+        for action in &report.actions {
+            rb.warn(stages::AUDIT, "audit-repair", &action.to_string());
+        }
+        Ok((report, repaired))
+    }
+
+    /// Rebuild a resumed run's working feature set by replaying its last
+    /// good plan over the audited originals. Plan replay is deterministic
+    /// and equal to the in-loop columns (the plan replay differential pins
+    /// this), so the resumed loop sees exactly the state the crashed run
+    /// held after its last completed iteration.
+    fn replay(
+        &self,
+        plan: &FeaturePlan,
+        train: &Dataset,
+        valid: Option<&Dataset>,
+    ) -> Result<(Dataset, Option<Dataset>), SafeError> {
+        let ckpt_err = |what: &str, e: &dyn std::fmt::Display| {
+            SafeError::Checkpoint(format!("checkpointed plan does not {what}: {e}"))
+        };
+        let compiled = plan
+            .compile(&self.config.operators)
+            .map_err(|e| ckpt_err("compile against the configured operator registry", &e))?;
+        let train = compiled
+            .apply(train)
+            .map_err(|e| ckpt_err("replay on the training data", &e))?;
+        let valid = match valid {
+            Some(v) => Some(
+                compiled
+                    .apply(v)
+                    .map_err(|e| ckpt_err("replay on the validation data", &e))?,
+            ),
+            None => None,
+        };
+        Ok((train, valid))
+    }
+
+    /// One pass of Algorithm 1 over the current feature set: generation
+    /// (Section IV-B), then selection (Section IV-C). On success the state
+    /// holds the newly selected features and the result is the iteration's
+    /// report plus whether the selected set stayed the same (convergence).
+    fn iterate(
+        &self,
+        st: &mut IterState<'_>,
+        iteration: usize,
+        iter_start: Instant,
+    ) -> Result<(IterationReport, bool), StageFailure> {
+        // --- feature generation (Section IV-B) -----------------------------
+        let (n_combinations, ranked) = self
+            .make_combinations(st, iteration)
+            .map_err(|e| StageFailure::new("mine", e.chain_string()))?;
+        let generated = self.generate_stage(st, &ranked)?;
+        let mut funnel = Funnel {
+            combinations: n_combinations,
+            combinations_kept: ranked.len(),
+            generated: generated.len(),
+            ..Funnel::default()
+        };
+        let (cand_train, cand_valid) = st.add_candidates(generated)?;
+        funnel.candidates = cand_train.n_cols();
+
+        // --- staged candidate pruning (SelectionMode::Staged only) ---------
+        // Exact mode takes the whole pool straight through, bit-identical
+        // to the pre-staged pipeline (no extra stage, no extra counters).
+        let finalists = match self.config.selection {
+            SelectionMode::Exact => None,
+            SelectionMode::Staged => Some(self.prune_stage(st, &cand_train, iteration)?),
+        };
+        // The pool the exact stages see: everything (Exact) or the staged
+        // finalists (Staged). Column selection keeps names and values, so
+        // the bin cache stays valid.
+        let staged: (Dataset, Option<Dataset>);
+        let (pool, pool_valid) = match &finalists {
+            None => (&cand_train, cand_valid.as_ref()),
+            Some(f) => {
+                let project = |ds: &Dataset| {
+                    ds.select_columns(f)
+                        .map_err(|e| StageFailure::new("staged-prune", e.to_string()))
                 };
-                match scanned {
-                    Ok((kept, pairs)) => {
-                        g.counter("pairs_compared", pairs);
-                        g.counter("dropped_theta", (n_after_iv - kept.len()) as u64);
-                        g.set_flow(n_after_iv as u64, kept.len() as u64);
-                        Ok(kept)
-                    }
-                    Err(reason) => Err(reason),
-                }
-            };
-            let kept = match kept_result {
-                Ok(k) => k,
-                Err(reason) => degrade!("redundancy", reason),
-            };
-            let n_after_redundancy = kept.len();
-
-            let rank_result = {
-                let mut g = rb.stage(stages::RANK_TOPK);
-                g.counter("threads", self.config.ranker.parallelism.resolve() as u64);
-                // Staged fast path: when the cap cannot bind, the ranking
-                // booster decides nothing — every survivor is selected
-                // regardless of gain order — so staged mode skips the
-                // retrain and keeps the redundancy scan's descending-IV
-                // order. Exact mode always ranks: its plan (including
-                // output order) is pinned bit-identical to the seed
-                // pipeline.
-                if self.config.selection == SelectionMode::Staged && kept.len() <= cap {
-                    g.counter("skipped_cap_unbound", 1);
-                    g.set_flow(n_after_redundancy as u64, kept.len() as u64);
-                    Ok(kept.clone())
-                } else {
-                    let cached = bin_cache.is_some();
-                    match rank_and_cap_cached(
-                        sel_train,
-                        sel_valid,
-                        &kept,
-                        &self.config.ranker,
-                        cap,
-                        bin_cache.as_mut(),
-                        g.sink(),
-                        g.iteration(),
-                    ) {
-                        Ok((idx, stats)) => {
-                            absorb_gbm_stats(&mut g, &stats, cached);
-                            g.set_flow(n_after_redundancy as u64, idx.len() as u64);
-                            Ok(idx)
-                        }
-                        Err(source) => Err(source),
-                    }
-                }
-            };
-            let selected_idx = match rank_result {
-                Ok(idx) => idx,
-                Err(source) => {
-                    let e = SafeError::Gbm { iteration, stage: "rank", source };
-                    degrade!("rank", e.chain_string())
-                }
-            };
-            if selected_idx.is_empty() {
-                degrade!("rank", "ranking selected no features".into());
+                let train = project(&cand_train)?;
+                staged = (train, cand_valid.as_ref().map(project).transpose()?);
+                (&staged.0, staged.1.as_ref())
             }
-            // Staged rank indices point into the finalist subset; map them
-            // back to candidate-pool indices for plan assembly and the
-            // next iteration's column selection.
-            let selected_idx: Vec<usize> = match &staged_finalists {
-                None => selected_idx,
-                Some(finalists) => selected_idx.iter().map(|&i| finalists[i]).collect(),
-            };
-            let selected: Vec<String> = selected_idx
-                .iter()
-                .filter_map(|&i| cand_train.meta().get(i).map(|m| m.name.clone()))
-                .collect();
-            let n_selected = selected.len();
+        };
 
-            let prev_names: HashSet<String> = current_train
-                .feature_names()
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            current_train = match cand_train.select_columns(&selected_idx) {
-                Ok(ds) => ds,
-                Err(e) => degrade!("select", e.to_string()),
-            };
-            if let Some(v) = cand_valid {
-                current_valid = match v.select_columns(&selected_idx) {
-                    Ok(ds) => Some(ds),
-                    Err(e) => degrade!("select", e.to_string()),
-                };
-            }
-
-            rb.set_waterfall(Waterfall {
-                generated: n_generated as u64,
-                candidates: n_candidates as u64,
-                post_iv: n_after_iv as u64,
-                post_redundancy: n_after_redundancy as u64,
-                selected: n_selected as u64,
+        // --- feature selection (Section IV-C) ------------------------------
+        let iv_survivors = self.iv_stage(st, pool)?;
+        funnel.after_iv = iv_survivors.len();
+        if iv_survivors.is_empty() {
+            // Nothing clears α: keep the current feature set and stop —
+            // models need at least one column.
+            return Err(StageFailure {
+                stage: "iv-filter",
+                reason: "no candidate cleared the IV threshold α".into(),
+                funnel: Some(funnel),
             });
-            history.push(IterationReport {
-                iteration,
-                n_combinations,
-                n_combinations_kept: n_kept,
-                n_generated,
-                n_candidates,
-                n_after_iv,
-                n_after_redundancy,
-                n_selected,
-                selected: selected.clone(),
-                elapsed_us: iter_start.elapsed().as_micros() as u64,
-                status: IterationStatus::Completed,
-            });
-            plans.push(build_plan(&original_names, &catalog, &selected));
-            rb.end_iteration("completed");
+        }
+        let kept = self.redundancy_stage(st, pool, &iv_survivors)?;
+        funnel.after_redundancy = kept.len();
+        let ranked_idx = self.rank_stage(st, pool, pool_valid, kept, iteration)?;
+        if ranked_idx.is_empty() {
+            return Err(StageFailure::new("rank", "ranking selected no features"));
+        }
+        // Staged rank indices point into the finalist subset; map them
+        // back to candidate-pool indices for plan assembly and the next
+        // iteration's column selection.
+        let selected_idx: Vec<usize> = match &finalists {
+            None => ranked_idx,
+            Some(f) => ranked_idx.iter().map(|&i| f[i]).collect(),
+        };
+        let selected: Vec<String> = selected_idx
+            .iter()
+            .filter_map(|&i| cand_train.meta().get(i).map(|m| m.name.clone()))
+            .collect();
 
-            // Converged: the selected set did not change.
-            let new_names: HashSet<String> = selected.iter().cloned().collect();
-            let converged = new_names == prev_names;
+        // Converged: the selected set did not change.
+        let prev: HashSet<&str> = st.train.feature_names().into_iter().collect();
+        let converged = selected.iter().map(String::as_str).collect::<HashSet<_>>() == prev;
+        let select_err =
+            |e: safe_data::error::DataError| StageFailure::new("select", e.to_string());
+        st.train = cand_train
+            .select_columns(&selected_idx)
+            .map_err(select_err)?;
+        if let Some(v) = cand_valid {
+            st.valid = Some(v.select_columns(&selected_idx).map_err(select_err)?);
+        }
 
-            // Durable checkpoint once the iteration has fully closed. The
-            // two kill failpoints bracket the save to simulate a process
-            // dying just before/after durability: the `Err` return stands in
-            // for the process vanishing mid-fit (test-only, feature-gated —
-            // a documented exception to the degradation policy).
+        st.rb.set_waterfall(Waterfall {
+            generated: funnel.generated as u64,
+            candidates: funnel.candidates as u64,
+            post_iv: funnel.after_iv as u64,
+            post_redundancy: funnel.after_redundancy as u64,
+            selected: selected.len() as u64,
+        });
+        let elapsed_us = iter_start.elapsed().as_micros() as u64;
+        let report = funnel.report(iteration, selected, elapsed_us, IterationStatus::Completed);
+        Ok((report, converged))
+    }
+
+    /// Record a closed iteration — history, plan snapshot, report span —
+    /// then persist a checkpoint when a directory is configured. Terminal
+    /// snapshots always persist (resume must be able to reconstruct a
+    /// finished run); mid-run ones honor `checkpoint_every`.
+    ///
+    /// On the completed path two kill failpoints bracket the save to
+    /// simulate a process dying just before/after durability: the `Err`
+    /// return stands in for the process vanishing mid-fit (test-only,
+    /// feature-gated — a documented exception to the degradation policy).
+    fn close_iteration(
+        &self,
+        st: &mut IterState<'_>,
+        report: IterationReport,
+        terminal: Terminal,
+    ) -> Result<(), SafeError> {
+        let completed = report.status == IterationStatus::Completed;
+        let status = match report.status {
+            IterationStatus::Completed => "completed",
+            IterationStatus::Degraded { .. } => "degraded",
+            IterationStatus::Skipped { .. } => "skipped",
+        };
+        let iteration = report.iteration;
+        st.plans.push(build_plan(
+            &st.original_names,
+            &st.catalog,
+            &report.selected,
+        ));
+        st.history.push(report);
+        st.rb.end_iteration(status);
+
+        if completed {
             safe_data::failpoint!(
                 "ckpt/kill-before-save",
-                SafeError::Checkpoint(
-                    "injected: ckpt/kill-before-save (simulated crash)".into()
-                )
+                SafeError::Checkpoint("injected: ckpt/kill-before-save (simulated crash)".into())
             );
-            if let Some(store) = store.as_ref() {
-                let terminal = if converged {
-                    Terminal::Converged
-                } else if iteration + 1 == max_iters {
-                    Terminal::ItersExhausted
-                } else {
-                    Terminal::Running
-                };
-                // Terminal snapshots always persist (resume must be able to
-                // reconstruct a finished run); mid-run ones honor the
-                // checkpoint_every stride.
-                if terminal.is_final()
-                    || history.len().is_multiple_of(self.config.checkpoint_every)
-                {
-                    write_checkpoint(
-                        store,
-                        &self.config,
-                        &history,
-                        &plans,
-                        rb.snapshot(),
-                        bin_cache.as_ref(),
-                        stats_cache.as_ref(),
-                        terminal,
-                        prior_elapsed_us + start.elapsed().as_micros() as u64,
-                        sink,
-                        iteration,
-                    );
-                }
-            }
+        }
+        if terminal.is_final()
+            || st
+                .history
+                .len()
+                .is_multiple_of(self.config.checkpoint_every)
+        {
+            self.write_checkpoint(st, terminal, iteration);
+        }
+        if completed {
             safe_data::failpoint!(
                 "ckpt/kill-after-save",
-                SafeError::Checkpoint(
-                    "injected: ckpt/kill-after-save (simulated crash)".into()
-                )
+                SafeError::Checkpoint("injected: ckpt/kill-after-save (simulated crash)".into())
             );
-            if converged {
-                break;
-            }
         }
+        Ok(())
+    }
 
-        let plan = plans.last().cloned().unwrap_or_else(|| FeaturePlan {
-            input_names: original_names.clone(),
-            steps: Vec::new(),
-            outputs: original_names.clone(),
-        });
-        // Chunked fits close with a run-level backend summary: chunk-cache
-        // traffic and the resident high-water mark against the configured
-        // budget. Cache traffic depends on worker interleaving, so every
-        // `oocore_*` counter — and the stage itself — is excluded from
-        // `RunReport::structural_eq` (a spilled run stays structurally
-        // equal to its resident twin).
-        if train.has_chunked_columns() {
-            let mut g = rb.stage(stages::OOCORE);
-            let stores = train.chunk_stores();
-            g.counter("oocore_stores", stores.len() as u64);
-            let (mut hits, mut loads, mut evictions, mut peak, mut budget, mut table) =
-                (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
-            for store in stores {
-                let stats = store.stats();
-                hits += stats.hits;
-                loads += stats.loads;
-                evictions += stats.evictions;
-                peak += stats.peak_resident_bytes;
-                budget += store.budget_bytes().unwrap_or_else(|| store.table_bytes());
-                table += store.table_bytes();
-            }
-            g.counter("oocore_chunk_hits", hits);
-            g.counter("oocore_chunk_loads", loads);
-            g.counter("oocore_evictions", evictions);
-            g.counter("oocore_peak_resident_bytes", peak);
-            g.counter("oocore_budget_bytes", budget);
-            g.counter("oocore_table_bytes", table);
-        }
-        Ok(SafeOutcome {
-            plan,
-            history,
-            plans_per_iteration: plans,
-            audit: audit_report,
-            report: rb.finish(),
-        })
+    /// Per-iteration seed for the randomized strategies and the staged
+    /// subsamples: a pure function of `config.seed` and the iteration, so
+    /// the iteration index *is* the RNG position on resume.
+    fn iteration_seed(&self, iteration: usize) -> u64 {
+        self.config
+            .seed
+            .wrapping_add(iteration as u64)
+            .wrapping_mul(0x9E3779B97F4A7C15)
     }
 
     /// Produce (total mined, ranked-top-γ) combinations per the configured
@@ -1001,24 +648,21 @@ impl Safe {
     /// strategy has no miner either.
     fn make_combinations(
         &self,
-        train: &Dataset,
-        valid: &Option<Dataset>,
+        st: &mut IterState<'_>,
         iteration: usize,
-        bin_cache: Option<&mut BinCache>,
-        rb: &mut ReportBuilder<'_>,
     ) -> Result<(usize, Vec<Combination>), SafeError> {
         let max_arity = self.config.operators.max_arity().max(1);
-        let seed = self
-            .config
-            .seed
-            .wrapping_add(iteration as u64)
-            .wrapping_mul(0x9E3779B97F4A7C15);
-        let mine_err = |source| SafeError::Gbm { iteration, stage: "mine", source };
+        let seed = self.iteration_seed(iteration);
+        let mine_err = |source| SafeError::Gbm {
+            iteration,
+            stage: "mine",
+            source,
+        };
         match self.config.strategy {
             GenerationStrategy::Mined => {
-                let model = self.fit_miner(train, valid, bin_cache, rb).map_err(mine_err)?;
+                let model = self.fit_miner(st).map_err(mine_err)?;
                 let combos = {
-                    let mut g = rb.stage(stages::PATH_EXTRACT);
+                    let mut g = st.rb.stage(stages::PATH_EXTRACT);
                     let n_paths = model.paths().len();
                     let combos = mine_combinations(&model, max_arity);
                     g.counter("paths_found", n_paths as u64);
@@ -1027,84 +671,454 @@ impl Safe {
                     combos
                 };
                 let total = combos.len();
-                let rank_result = {
-                    let mut g = rb.stage(stages::RANK_COMBOS);
-                    g.counter("threads", self.config.parallelism.resolve() as u64);
-                    match rank_combinations_observed(
-                        combos,
-                        train,
-                        self.config.gamma,
-                        self.config.parallelism,
-                    ) {
-                        Ok((ranked, stats)) => {
-                            g.counter("candidates_in", stats.candidates_in);
-                            g.counter("cells_evaluated", stats.cells_evaluated);
-                            g.counter("gamma_truncated", stats.gamma_truncated);
-                            g.set_flow(stats.candidates_in, ranked.len() as u64);
-                            Ok(ranked)
-                        }
-                        Err(p) => Err(p),
-                    }
-                };
-                let ranked =
-                    rank_result.map_err(|p| SafeError::worker_panic("rank-combos", p))?;
+                let par = self.config.parallelism;
+                let mut g = st.rb.stage(stages::RANK_COMBOS);
+                g.counter("threads", par.resolve() as u64);
+                let (ranked, stats) = rank_combinations(combos, &st.train, self.config.gamma, par)
+                    .map_err(|p| SafeError::worker_panic("rank-combos", p))?;
+                g.counter("candidates_in", stats.candidates_in);
+                g.counter("cells_evaluated", stats.cells_evaluated);
+                g.counter("gamma_truncated", stats.gamma_truncated);
+                g.set_flow(stats.candidates_in, ranked.len() as u64);
                 Ok((total, ranked))
             }
             GenerationStrategy::RandomSplitFeatures => {
-                let model = self.fit_miner(train, valid, bin_cache, rb).map_err(mine_err)?;
-                let combos = {
-                    let mut g = rb.stage(stages::PATH_EXTRACT);
-                    let mut pool = model.split_features();
-                    if pool.is_empty() {
-                        pool = (0..train.n_cols()).collect();
-                    }
-                    let combos = random_combinations(&pool, self.config.gamma, max_arity, seed);
-                    g.counter("combinations_extracted", combos.len() as u64);
-                    g.set_flow(pool.len() as u64, combos.len() as u64);
-                    combos
-                };
-                let total = combos.len();
-                Ok((total, combos))
-            }
-            GenerationStrategy::RandomAllFeatures => {
-                let mut g = rb.stage(stages::PATH_EXTRACT);
-                let pool: Vec<usize> = (0..train.n_cols()).collect();
+                let model = self.fit_miner(st).map_err(mine_err)?;
+                let mut g = st.rb.stage(stages::PATH_EXTRACT);
+                let mut pool = model.split_features();
+                if pool.is_empty() {
+                    pool = (0..st.train.n_cols()).collect();
+                }
                 let combos = random_combinations(&pool, self.config.gamma, max_arity, seed);
                 g.counter("combinations_extracted", combos.len() as u64);
                 g.set_flow(pool.len() as u64, combos.len() as u64);
-                let total = combos.len();
-                Ok((total, combos))
+                Ok((combos.len(), combos))
+            }
+            GenerationStrategy::RandomAllFeatures => {
+                let mut g = st.rb.stage(stages::PATH_EXTRACT);
+                let pool: Vec<usize> = (0..st.train.n_cols()).collect();
+                let combos = random_combinations(&pool, self.config.gamma, max_arity, seed);
+                g.counter("combinations_extracted", combos.len() as u64);
+                g.set_flow(pool.len() as u64, combos.len() as u64);
+                Ok((combos.len(), combos))
             }
         }
     }
 
     /// Train the combination-mining booster under a `gbm-train` span.
-    fn fit_miner(
-        &self,
-        train: &Dataset,
-        valid: &Option<Dataset>,
-        cache: Option<&mut BinCache>,
-        rb: &mut ReportBuilder<'_>,
-    ) -> Result<safe_gbm::booster::GbmModel, safe_gbm::GbmError> {
-        let mut g = rb.stage(stages::GBM_TRAIN);
+    fn fit_miner(&self, st: &mut IterState<'_>) -> Result<GbmModel, GbmError> {
+        let mut g = st.rb.stage(stages::GBM_TRAIN);
         g.counter("threads", self.config.miner.parallelism.resolve() as u64);
-        let cached = cache.is_some();
-        let result = Gbm::new(self.config.miner.clone()).fit_cached_observed(
-            train,
-            valid.as_ref(),
-            cache,
+        let cached = st.bin_cache.is_some();
+        let (model, stats) = Gbm::new(self.config.miner.clone()).fit_cached_observed(
+            &st.train,
+            st.valid.as_ref(),
+            st.bin_cache.as_mut(),
             g.sink(),
             stages::GBM_TRAIN,
             g.iteration(),
-        );
-        match result {
-            Ok((model, stats)) => {
-                absorb_gbm_stats(&mut g, &stats, cached);
-                Ok(model)
+        )?;
+        absorb_gbm_stats(&mut g, &stats, cached);
+        Ok(model)
+    }
+
+    /// Apply the operator set to the ranked combinations (`generate`).
+    fn generate_stage(
+        &self,
+        st: &mut IterState<'_>,
+        ranked: &[Combination],
+    ) -> Result<Vec<GeneratedFeature>, StageFailure> {
+        let par = self.config.parallelism;
+        let mut g = st.rb.stage(stages::GENERATE);
+        g.counter("threads", par.resolve() as u64);
+        let registry = &self.config.operators;
+        let (generated, stats) =
+            generate_features(&st.train, st.valid.as_ref(), ranked, registry, par)
+                .map_err(|p| StageFailure::panic("generate", p))?;
+        for (op, count) in &stats.per_op {
+            g.counter(&format!("op_{op}"), *count);
+        }
+        g.counter("degenerate_discarded", stats.degenerate_discarded);
+        g.counter("name_collisions", stats.name_collisions);
+        g.counter("op_fit_errors", stats.op_fit_errors);
+        g.counter("stale_combinations", stats.stale_combinations);
+        g.set_flow(ranked.len() as u64, generated.len() as u64);
+        Ok(generated)
+    }
+
+    /// Successive halving down to a finalist set (`staged-prune`). Returns
+    /// the finalists' column indices into `candidates`.
+    fn prune_stage(
+        &self,
+        st: &mut IterState<'_>,
+        candidates: &Dataset,
+        iteration: usize,
+    ) -> Result<Vec<usize>, StageFailure> {
+        let par = self.config.parallelism;
+        let n = candidates.n_cols();
+        let cfg = StagedConfig::for_pool(n, self.config.beta, self.iteration_seed(iteration));
+        let all: Vec<usize> = (0..n).collect();
+        let mut g = st.rb.stage(stages::STAGED_PRUNE);
+        g.counter("threads", par.resolve() as u64);
+        g.counter("finalist_target", cfg.finalist_target as u64);
+        let (finalists, rep) = staged_prune(candidates, &all, &cfg, par)
+            .map_err(|p| StageFailure::panic("staged-prune", p))?;
+        g.counter("rungs", rep.rungs.len() as u64);
+        g.counter("rows_scored", rep.rows_scored());
+        g.counter("short_circuited", rep.short_circuited as u64);
+        if let Some(last) = rep.rungs.last() {
+            g.counter("final_sample_rows", last.sample_rows as u64);
+        }
+        g.set_flow(n as u64, finalists.len() as u64);
+        Ok(finalists)
+    }
+
+    /// Algorithm 3 over the pool (`iv-filter`).
+    fn iv_stage(
+        &self,
+        st: &mut IterState<'_>,
+        pool: &Dataset,
+    ) -> Result<Vec<(usize, f64)>, StageFailure> {
+        let par = self.config.parallelism;
+        let n_pool = pool.n_cols();
+        let mut g = st.rb.stage(stages::IV_FILTER);
+        g.counter("threads", par.resolve() as u64);
+        let survivors = iv_filter(pool, self.config.alpha, self.config.beta, par)
+            .map_err(|p| StageFailure::panic("iv-filter", p))?;
+        g.counter("dropped_alpha", (n_pool - survivors.len()) as u64);
+        g.set_flow(n_pool as u64, survivors.len() as u64);
+        Ok(survivors)
+    }
+
+    /// Algorithm 4 over the IV survivors (`redundancy-filter`).
+    fn redundancy_stage(
+        &self,
+        st: &mut IterState<'_>,
+        pool: &Dataset,
+        survivors: &[(usize, f64)],
+    ) -> Result<Vec<usize>, StageFailure> {
+        let (par, theta) = (self.config.parallelism, self.config.theta);
+        let mut g = st.rb.stage(stages::REDUNDANCY);
+        g.counter("threads", par.resolve() as u64);
+        let scanned = match self.config.selection {
+            // Exact: f64 Pearson over full columns — the paper's step.
+            SelectionMode::Exact => redundancy_filter(pool, survivors, theta, par)
+                .map_err(|p| SafeError::worker_panic("redundancy", p).chain_string()),
+            // Staged: integer co-occurrence kernel over u16 bin columns at
+            // the ranker's bin budget, shared with the rank-topk booster
+            // through the bin cache.
+            SelectionMode::Staged => {
+                g.counter("binned", 1);
+                let max_bins = self.config.ranker.max_bins;
+                let cache = st.bin_cache.as_mut();
+                redundancy_filter_binned(pool, survivors, theta, max_bins, par, cache)
+                    .map_err(|e| e.to_string())
             }
-            Err(e) => Err(e),
+        };
+        let (kept, pairs) = scanned.map_err(|reason| StageFailure::new("redundancy", reason))?;
+        g.counter("pairs_compared", pairs);
+        g.counter("dropped_theta", (survivors.len() - kept.len()) as u64);
+        g.set_flow(survivors.len() as u64, kept.len() as u64);
+        Ok(kept)
+    }
+
+    /// Section IV-C3 over the redundancy survivors (`rank-topk`): keep at
+    /// most `output_multiplier × original width` by booster gain.
+    fn rank_stage(
+        &self,
+        st: &mut IterState<'_>,
+        pool: &Dataset,
+        pool_valid: Option<&Dataset>,
+        kept: Vec<usize>,
+        iteration: usize,
+    ) -> Result<Vec<usize>, StageFailure> {
+        let cap = self.config.output_multiplier * st.original_names.len();
+        let mut g = st.rb.stage(stages::RANK_TOPK);
+        g.counter("threads", self.config.ranker.parallelism.resolve() as u64);
+        // Staged fast path: when the cap cannot bind, the ranking booster
+        // decides nothing — every survivor is selected regardless of gain
+        // order — so staged mode skips the retrain and keeps the redundancy
+        // scan's descending-IV order. Exact mode always ranks: its plan
+        // (including output order) is pinned bit-identical to the seed
+        // pipeline.
+        if self.config.selection == SelectionMode::Staged && kept.len() <= cap {
+            g.counter("skipped_cap_unbound", 1);
+            g.set_flow(kept.len() as u64, kept.len() as u64);
+            return Ok(kept);
+        }
+        let cached = st.bin_cache.is_some();
+        let (sink, it) = (g.sink(), g.iteration());
+        let ranker = &self.config.ranker;
+        let cache = st.bin_cache.as_mut();
+        let (idx, stats) = rank_and_cap(pool, pool_valid, &kept, ranker, cap, cache, sink, it)
+            .map_err(|source| {
+                let e = SafeError::Gbm {
+                    iteration,
+                    stage: "rank",
+                    source,
+                };
+                StageFailure::new("rank", e.chain_string())
+            })?;
+        absorb_gbm_stats(&mut g, &stats, cached);
+        g.set_flow(kept.len() as u64, idx.len() as u64);
+        Ok(idx)
+    }
+
+    /// Persist a durable checkpoint after a closed iteration under a
+    /// sink-only `checkpoint` span with `ckpt_bytes`/`ckpt_iterations`
+    /// counters. No-op without a configured directory.
+    ///
+    /// The span is deliberately NOT recorded in the `RunReport`: the report
+    /// embedded in the snapshot must match the uninterrupted run's, and a
+    /// resumed run replays no checkpoint spans for its first segment. For
+    /// the same reason a failed save degrades *durability*, not training —
+    /// the error surfaces as a sink warning and the loop carries on.
+    fn write_checkpoint(&self, st: &IterState<'_>, terminal: Terminal, iteration: usize) {
+        let Some(store) = st.store.as_ref() else {
+            return;
+        };
+        let sink = st.rb.sink();
+        let report = st.rb.snapshot();
+        let elapsed_us = st.prior_elapsed_us + st.start.elapsed().as_micros() as u64;
+        let t0 = Instant::now();
+        sink.stage_start(stages::CHECKPOINT, Some(iteration));
+        let ckpt = Checkpoint {
+            fingerprint: ConfigFingerprint::of(&self.config),
+            iterations_done: st.history.len(),
+            terminal,
+            elapsed_us,
+            history: st.history.clone(),
+            plans: st.plans.clone(),
+            report,
+            bin_keys: st.bin_cache.as_ref().map(|c| c.keys()).unwrap_or_default(),
+        };
+        let save_t0 = Instant::now();
+        let saved = store.save(&ckpt);
+        let save_us = save_t0.elapsed().as_micros() as u64;
+        match saved {
+            Ok(bytes) => {
+                sink.counter(stages::CHECKPOINT, Some(iteration), "ckpt_bytes", bytes);
+                sink.counter(
+                    stages::CHECKPOINT,
+                    Some(iteration),
+                    "ckpt_iterations",
+                    ckpt.iterations_done as u64,
+                );
+                // Sink-only latency observation, same contract as the span:
+                // feeds the ckpt_write_us histogram, never the report.
+                sink.observe(
+                    stages::CHECKPOINT,
+                    Some(iteration),
+                    "ckpt_write_us",
+                    save_us,
+                );
+            }
+            Err(e) => {
+                sink.warn(
+                    stages::CHECKPOINT,
+                    Some(iteration),
+                    "ckpt-save-failed",
+                    &format!("checkpoint save failed (training continues): {e}"),
+                );
+            }
+        }
+        sink.stage_end(
+            stages::CHECKPOINT,
+            Some(iteration),
+            t0.elapsed().as_micros() as u64,
+        );
+    }
+}
+
+/// Funnel counts one iteration reached — the count half of an
+/// [`IterationReport`].
+#[derive(Default)]
+struct Funnel {
+    combinations: usize,
+    combinations_kept: usize,
+    generated: usize,
+    candidates: usize,
+    after_iv: usize,
+    after_redundancy: usize,
+}
+
+impl Funnel {
+    fn report(
+        self,
+        iteration: usize,
+        selected: Vec<String>,
+        elapsed_us: u64,
+        status: IterationStatus,
+    ) -> IterationReport {
+        IterationReport {
+            iteration,
+            n_combinations: self.combinations,
+            n_combinations_kept: self.combinations_kept,
+            n_generated: self.generated,
+            n_candidates: self.candidates,
+            n_after_iv: self.after_iv,
+            n_after_redundancy: self.after_redundancy,
+            n_selected: selected.len(),
+            selected,
+            elapsed_us,
+            status,
         }
     }
+}
+
+/// A stage failure mid-iteration: the iteration degrades to the last good
+/// feature set and the loop stops.
+struct StageFailure {
+    /// Degradation stage name, as recorded in [`IterationStatus::Degraded`].
+    stage: &'static str,
+    /// Human-readable failure description.
+    reason: String,
+    /// How far the funnel got before the failure; `None` records zero
+    /// generation counts over the carried-over feature set.
+    funnel: Option<Funnel>,
+}
+
+impl StageFailure {
+    fn new(stage: &'static str, reason: impl Into<String>) -> StageFailure {
+        StageFailure {
+            stage,
+            reason: reason.into(),
+            funnel: None,
+        }
+    }
+
+    /// A worker panic captured inside `stage`.
+    fn panic(stage: &'static str, panic: ParPanic) -> StageFailure {
+        StageFailure::new(stage, SafeError::worker_panic(stage, panic).chain_string())
+    }
+}
+
+/// What the fit loop carries from one iteration to the next, plus the
+/// run-wide context [`Safe::close_iteration`] needs to record and persist
+/// an iteration.
+struct IterState<'s> {
+    rb: ReportBuilder<'s>,
+    /// Durable checkpointing is on whenever a directory is configured.
+    store: Option<CheckpointStore>,
+    /// The audited input schema every plan starts from.
+    original_names: Vec<String>,
+    /// The current (last good) feature set.
+    train: Dataset,
+    valid: Option<Dataset>,
+    /// Every generated feature ever defined, for transitive plan assembly.
+    catalog: BTreeMap<String, PlanStep>,
+    history: Vec<IterationReport>,
+    plans: Vec<FeaturePlan>,
+    /// Binned columns for the miner/ranker boosters, reused across
+    /// iterations (see DESIGN.md §12). Column names are stable provenance,
+    /// so entries stay valid for every column that survives an iteration.
+    /// `None` when disabled — results are bit-identical either way.
+    bin_cache: Option<BinCache>,
+    /// When this process started the loop.
+    start: Instant,
+    /// Wall-clock spent in earlier segments of a resumed run.
+    prior_elapsed_us: u64,
+}
+
+impl IterState<'_> {
+    /// Report for an iteration whose funnel did not complete: the selection
+    /// is the carried-over feature set.
+    fn carried_over(
+        &self,
+        iteration: usize,
+        funnel: Option<Funnel>,
+        elapsed_us: u64,
+        status: IterationStatus,
+    ) -> IterationReport {
+        let funnel = funnel.unwrap_or(Funnel {
+            candidates: self.train.n_cols(),
+            ..Funnel::default()
+        });
+        funnel.report(iteration, feature_name_vec(&self.train), elapsed_us, status)
+    }
+
+    /// Candidate set X̂ = X ∪ X̃: the current features plus every generated
+    /// one, each also entered into the plan catalog.
+    fn add_candidates(
+        &mut self,
+        generated: Vec<GeneratedFeature>,
+    ) -> Result<(Dataset, Option<Dataset>), StageFailure> {
+        let mut cand_train = self.train.clone();
+        let mut cand_valid = self.valid.clone();
+        let failed = |e: safe_data::error::DataError| StageFailure::new("generate", e.to_string());
+        for g in generated {
+            let meta = FeatureMeta::generated(g.name.clone(), g.op.clone(), g.parents.clone());
+            let step = PlanStep {
+                name: g.name,
+                op: g.op,
+                parents: g.parents,
+                params: g.params,
+            };
+            self.catalog.insert(step.name.clone(), step);
+            cand_train
+                .push_column(meta.clone(), g.train_values)
+                .map_err(failed)?;
+            if let (Some(v), Some(values)) = (cand_valid.as_mut(), g.valid_values) {
+                v.push_column(meta, values).map_err(failed)?;
+            }
+        }
+        Ok((cand_train, cand_valid))
+    }
+}
+
+/// Assemble the outcome: the final plan is the last iteration's, or the
+/// identity over the audited schema when no iteration ran.
+fn outcome(
+    original_names: &[String],
+    history: Vec<IterationReport>,
+    plans: Vec<FeaturePlan>,
+    audit: AuditReport,
+    rb: ReportBuilder<'_>,
+) -> SafeOutcome {
+    let plan = plans.last().cloned().unwrap_or_else(|| FeaturePlan {
+        input_names: original_names.to_vec(),
+        steps: Vec::new(),
+        outputs: original_names.to_vec(),
+    });
+    SafeOutcome {
+        plan,
+        history,
+        plans_per_iteration: plans,
+        audit,
+        report: rb.finish(),
+    }
+}
+
+/// Chunked fits close with a run-level backend summary: chunk-cache
+/// traffic and the resident high-water mark against the configured
+/// budget. Cache traffic depends on worker interleaving, so every
+/// `oocore_*` counter — and the stage itself — is excluded from
+/// `RunReport::structural_eq` (a spilled run stays structurally equal to
+/// its resident twin).
+fn record_oocore(train: &Dataset, rb: &mut ReportBuilder<'_>) {
+    if !train.has_chunked_columns() {
+        return;
+    }
+    let mut g = rb.stage(stages::OOCORE);
+    let stores = train.chunk_stores();
+    g.counter("oocore_stores", stores.len() as u64);
+    let (mut hits, mut loads, mut evictions, mut peak, mut budget, mut table) =
+        (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
+    for store in stores {
+        let stats = store.stats();
+        hits += stats.hits;
+        loads += stats.loads;
+        evictions += stats.evictions;
+        peak += stats.peak_resident_bytes;
+        budget += store.budget_bytes().unwrap_or_else(|| store.table_bytes());
+        table += store.table_bytes();
+    }
+    g.counter("oocore_chunk_hits", hits);
+    g.counter("oocore_chunk_loads", loads);
+    g.counter("oocore_evictions", evictions);
+    g.counter("oocore_peak_resident_bytes", peak);
+    g.counter("oocore_budget_bytes", budget);
+    g.counter("oocore_table_bytes", table);
 }
 
 /// Record the booster counters [`Gbm::fit_cached_observed`] already emitted
@@ -1129,30 +1143,6 @@ fn absorb_gbm_stats(g: &mut StageGuard<'_, '_>, stats: &safe_gbm::GbmFitStats, c
 /// Current feature names as owned strings.
 fn feature_name_vec(ds: &Dataset) -> Vec<String> {
     ds.feature_names().iter().map(|s| s.to_string()).collect()
-}
-
-/// Report for an iteration whose funnel did not (fully) run: the generation
-/// counters are zero and the selection is the carried-over feature set.
-fn stub_report(
-    iteration: usize,
-    current: &Dataset,
-    selected: Vec<String>,
-    elapsed_us: u64,
-    status: IterationStatus,
-) -> IterationReport {
-    IterationReport {
-        iteration,
-        n_combinations: 0,
-        n_combinations_kept: 0,
-        n_generated: 0,
-        n_candidates: current.n_cols(),
-        n_after_iv: 0,
-        n_after_redundancy: 0,
-        n_selected: selected.len(),
-        selected,
-        elapsed_us,
-        status,
-    }
 }
 
 /// Assemble a plan for the selected feature names: inputs are the original
@@ -1193,74 +1183,6 @@ fn build_plan(
         steps: ordered,
         outputs: selected.to_vec(),
     }
-}
-
-/// Persist a durable checkpoint after a closed iteration under a sink-only
-/// `checkpoint` span with `ckpt_bytes`/`ckpt_iterations` counters.
-///
-/// The span is deliberately NOT recorded in the `RunReport`: the report
-/// embedded in the snapshot must match the uninterrupted run's, and a
-/// resumed run replays no checkpoint spans for its first segment. For the
-/// same reason a failed save degrades *durability*, not training — the
-/// error surfaces as a sink warning and the loop carries on.
-#[allow(clippy::too_many_arguments)]
-fn write_checkpoint(
-    store: &CheckpointStore,
-    config: &SafeConfig,
-    history: &[IterationReport],
-    plans: &[FeaturePlan],
-    report: RunReport,
-    bin_cache: Option<&BinCache>,
-    stats_cache: Option<&StatsCache>,
-    terminal: Terminal,
-    elapsed_us: u64,
-    sink: &dyn EventSink,
-    iteration: usize,
-) {
-    let t0 = Instant::now();
-    sink.stage_start(stages::CHECKPOINT, Some(iteration));
-    let ckpt = Checkpoint {
-        fingerprint: ConfigFingerprint::of(config),
-        iterations_done: history.len(),
-        terminal,
-        elapsed_us,
-        history: history.to_vec(),
-        plans: plans.to_vec(),
-        report,
-        bin_keys: bin_cache.map(|c| c.keys()).unwrap_or_default(),
-        iv_entries: stats_cache.map(|c| c.iv_len()).unwrap_or(0),
-        pearson_entries: stats_cache.map(|c| c.pearson_len()).unwrap_or(0),
-    };
-    let save_t0 = Instant::now();
-    let saved = store.save(&ckpt);
-    let save_us = save_t0.elapsed().as_micros() as u64;
-    match saved {
-        Ok(bytes) => {
-            sink.counter(stages::CHECKPOINT, Some(iteration), "ckpt_bytes", bytes);
-            sink.counter(
-                stages::CHECKPOINT,
-                Some(iteration),
-                "ckpt_iterations",
-                ckpt.iterations_done as u64,
-            );
-            // Sink-only latency observation, same contract as the span:
-            // feeds the ckpt_write_us histogram, never the report.
-            sink.observe(stages::CHECKPOINT, Some(iteration), "ckpt_write_us", save_us);
-        }
-        Err(e) => {
-            sink.warn(
-                stages::CHECKPOINT,
-                Some(iteration),
-                "ckpt-save-failed",
-                &format!("checkpoint save failed (training continues): {e}"),
-            );
-        }
-    }
-    sink.stage_end(
-        stages::CHECKPOINT,
-        Some(iteration),
-        t0.elapsed().as_micros() as u64,
-    );
 }
 
 #[cfg(test)]

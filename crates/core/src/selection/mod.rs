@@ -1,9 +1,12 @@
 //! The three-step feature selection pipeline (Section IV-C).
 //!
-//! Each step has a `_cached` variant that reuses finalized IV / Pearson
-//! values (and binned booster columns) from the [`crate::cache`] module
-//! across iterations. Cached results are bit-identical to recomputation —
-//! the cache stores exactly the `f64` the cold path would produce.
+//! Each step has one entry point: [`iv_filter`] (Algorithm 3),
+//! [`redundancy_filter`] (Algorithm 4, exact `f64` Pearson) or
+//! [`redundancy_filter_binned`] (Algorithm 4 on shared `u16` bin columns),
+//! and [`rank_and_cap`] (Section IV-C3). Each takes an explicit
+//! [`Parallelism`] (the ranker carries its own in [`GbmConfig`]) and
+//! returns a captured worker panic or booster failure as an error, so the
+//! caller can degrade the iteration instead of unwinding the run.
 //!
 //! [`staged`] adds the successive-halving pruner behind
 //! [`crate::config::SelectionMode::Staged`]: candidates are whittled down
@@ -27,51 +30,26 @@ use safe_stats::iv::information_value;
 use safe_stats::par::{ParPanic, Parallelism};
 use safe_stats::pearson::{pearson, ExactMoments};
 
-use crate::cache::StatsCache;
-
 /// Algorithm 3: compute the IV of every candidate column (β equal-frequency
-/// bins, in parallel) and keep those with `IV > α`. Returns the surviving
-/// `(column index, IV)` pairs in the original column order.
+/// bins, in parallel under `par`) and keep those with `IV > α`. Returns the
+/// surviving `(column index, IV)` pairs in the original column order.
 ///
 /// Unlabeled data has no IV, so nothing can clear α: the result is empty
 /// (the caller treats an empty survivor set as "keep the current features
-/// and stop", never as a panic).
-pub fn iv_filter(train: &Dataset, alpha: f64, beta: usize) -> Vec<(usize, f64)> {
-    match iv_filter_par(train, alpha, beta, Parallelism::auto()) {
-        Ok(kept) => kept,
-        Err(p) => panic!("{p}"),
-    }
-}
-
-/// [`iv_filter`] with an explicit thread budget. A panic inside a worker
-/// (one poisoned column) is captured and surfaced as [`ParPanic`] so the
-/// caller can degrade the iteration instead of unwinding the whole run.
-pub fn iv_filter_par(
+/// and stop", never as a panic). A panic inside a worker (one poisoned
+/// column) is captured and returned as [`ParPanic`].
+pub fn iv_filter(
     train: &Dataset,
     alpha: f64,
     beta: usize,
     par: Parallelism,
-) -> Result<Vec<(usize, f64)>, ParPanic> {
-    iv_filter_cached(train, alpha, beta, par, None)
-}
-
-/// [`iv_filter_par`] with an optional [`StatsCache`]: columns whose IV is
-/// already cached (keyed by name + β) skip the computation; only the misses
-/// run through the parallel map, and their values are stored back. The kept
-/// set is bit-identical with and without a cache.
-pub fn iv_filter_cached(
-    train: &Dataset,
-    alpha: f64,
-    beta: usize,
-    par: Parallelism,
-    cache: Option<&mut StatsCache>,
 ) -> Result<Vec<(usize, f64)>, ParPanic> {
     safe_data::failpoint!("select/iv-empty" => return Ok(Vec::new()));
     let Some(labels) = train.labels() else {
         return Ok(Vec::new());
     };
     let views: Vec<ColumnView<'_>> = train.column_views().collect();
-    let compute = |f: usize| {
+    let ivs = safe_stats::par::try_par_map(par, views.len(), |f| {
         safe_data::failpoint!(
             "select/iv-worker-panic" => panic!("injected worker panic: select/iv-worker-panic")
         );
@@ -86,25 +64,7 @@ pub fn iv_filter_cached(
             Err(e) => panic!("column read failed during IV scan: {e}"),
         };
         information_value(col, labels, beta).unwrap_or(0.0)
-    };
-    let ivs: Vec<f64> = match cache {
-        None => safe_stats::par::try_par_map(par, views.len(), compute)?,
-        Some(cache) => {
-            let names = train.feature_names();
-            let mut resolved: Vec<Option<f64>> =
-                names.iter().map(|n| cache.iv_lookup(n, beta)).collect();
-            let miss_idx: Vec<usize> = (0..views.len())
-                .filter(|&f| resolved[f].is_none())
-                .collect();
-            let computed =
-                safe_stats::par::try_par_map(par, miss_idx.len(), |k| compute(miss_idx[k]))?;
-            for (&f, &iv) in miss_idx.iter().zip(&computed) {
-                cache.iv_insert(names[f], beta, iv);
-                resolved[f] = Some(iv);
-            }
-            resolved.into_iter().map(|v| v.unwrap_or(0.0)).collect()
-        }
-    };
+    })?;
     Ok(ivs
         .into_iter()
         .enumerate()
@@ -113,8 +73,8 @@ pub fn iv_filter_cached(
 }
 
 /// Algorithm 4: redundancy removal. Candidates are visited in descending-IV
-/// order; a candidate is kept unless it correlates above θ (absolute
-/// Pearson) with an already-kept feature.
+/// order (ties broken by column index); a candidate is kept unless it
+/// correlates above θ (absolute Pearson) with an already-kept feature.
 ///
 /// (The paper's pseudo-code adds the higher-IV member of each offending pair
 /// to the output; taken literally that drops uncorrelated features entirely,
@@ -123,70 +83,30 @@ pub fn iv_filter_cached(
 /// greater than 0.8, the feature with the smaller IV of them will be
 /// removed".)
 ///
-/// Returns surviving column indices in descending-IV order. Pair
-/// correlations are computed in parallel per kept-candidate row.
+/// Returns surviving column indices in descending-IV order plus the number
+/// of candidate/kept pairs correlation-tested. Each candidate's pairs are
+/// tested in parallel under `par`; worker panics surface as [`ParPanic`].
+///
+/// The kernel is the per-column moment cache ([`ExactMoments`]): NaN-free
+/// pairs reduce to one centered dot product that reproduces the two-pass
+/// `pearson` bit-for-bit, so the hot loop never re-derives means and
+/// variances per pair. Pairs touching a column with missing cells keep
+/// `pearson`'s pairwise deletion.
 pub fn redundancy_filter(
     train: &Dataset,
     survivors: &[(usize, f64)],
     theta: f64,
-) -> Vec<usize> {
-    match redundancy_filter_observed(train, survivors, theta, Parallelism::auto()) {
-        Ok((kept, _)) => kept,
-        Err(p) => panic!("{p}"),
-    }
-}
-
-/// [`redundancy_filter`] with an explicit thread budget, additionally
-/// reporting how many candidate/kept pairs were correlation-tested.
-/// Worker panics surface as [`ParPanic`].
-pub fn redundancy_filter_observed(
-    train: &Dataset,
-    survivors: &[(usize, f64)],
-    theta: f64,
     par: Parallelism,
 ) -> Result<(Vec<usize>, u64), ParPanic> {
-    redundancy_filter_cached(train, survivors, theta, par, None)
-}
-
-/// [`redundancy_filter_observed`] with an optional [`StatsCache`]: pair
-/// correlations already cached (keyed by the unordered column-name pair) are
-/// reused; only the missing pairs are computed (in parallel) and stored
-/// back. `pairs_compared` counts every pair examined, hit or miss, so the
-/// telemetry flow is identical with and without a cache — and so is the
-/// kept set, bitwise.
-///
-/// Since PR 9 the exact kernel is the per-column moment cache
-/// ([`ExactMoments`]): NaN-free pairs reduce to one centered dot product
-/// that reproduces the two-pass `pearson` bit-for-bit, so every cached
-/// value, θ-decision and differential gate is unchanged while the hot loop
-/// no longer re-derives means and variances per pair.
-pub fn redundancy_filter_cached(
-    train: &Dataset,
-    survivors: &[(usize, f64)],
-    theta: f64,
-    par: Parallelism,
-    mut cache: Option<&mut StatsCache>,
-) -> Result<(Vec<usize>, u64), ParPanic> {
-    let mut pairs_compared: u64 = 0;
-    let mut order: Vec<(usize, f64)> = survivors.to_vec();
-    order.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
-    let names = train.feature_names();
+    let order = descending_iv(survivors);
     let n_cols = train.n_cols();
-    // Exact-mode moment kernel: per-column Pearson moments are computed at
-    // most once (lazily, on the first miss pair touching the column) and
-    // every NaN-free pair collapses to a single centered dot product —
-    // [`ExactMoments::rho`] is bitwise-equal to the two-pass `pearson`, so
-    // cached values and θ-decisions are unchanged. Pairs touching a column
-    // with missing cells keep the pairwise-deletion routine. Fully cached
-    // iterations compute no moments at all.
+    // Moments are computed at most once per column, lazily on the first
+    // pair that touches it, and shared across scan workers.
     let moments: Vec<OnceLock<Option<ExactMoments>>> =
         (0..n_cols).map(|_| OnceLock::new()).collect();
+    let mut pairs_compared: u64 = 0;
     let mut kept: Vec<usize> = Vec::new();
-    for &(candidate, _) in &order {
+    for (candidate, _) in order {
         // Out-of-range survivor indices cannot be kept (defensive: survivor
         // lists always come from iv_filter over the same dataset).
         if candidate >= n_cols {
@@ -194,35 +114,26 @@ pub fn redundancy_filter_cached(
         }
         // Compare against all kept features in parallel; any hit disqualifies.
         pairs_compared += kept.len() as u64;
-        let redundant = match cache.as_mut() {
-            None => {
-                let hits = safe_stats::par::try_par_map(par, kept.len(), |i| {
-                    pair_rho(train, &moments, candidate, kept[i]).abs() > theta
-                })?;
-                hits.into_iter().any(|h| h)
-            }
-            Some(cache) => {
-                let mut rho: Vec<Option<f64>> = kept
-                    .iter()
-                    .map(|&k| cache.pearson_lookup(names[candidate], names[k]))
-                    .collect();
-                let miss_idx: Vec<usize> =
-                    (0..kept.len()).filter(|&i| rho[i].is_none()).collect();
-                let computed = safe_stats::par::try_par_map(par, miss_idx.len(), |j| {
-                    pair_rho(train, &moments, candidate, kept[miss_idx[j]])
-                })?;
-                for (&i, &r) in miss_idx.iter().zip(&computed) {
-                    cache.pearson_insert(names[candidate], names[kept[i]], r);
-                    rho[i] = Some(r);
-                }
-                rho.into_iter().any(|r| r.unwrap_or(0.0).abs() > theta)
-            }
-        };
-        if !redundant {
+        let hits = safe_stats::par::try_par_map(par, kept.len(), |i| {
+            pair_rho(train, &moments, candidate, kept[i]).abs() > theta
+        })?;
+        if !hits.into_iter().any(|h| h) {
             kept.push(candidate);
         }
     }
     Ok((kept, pairs_compared))
+}
+
+/// Survivors sorted by descending IV, ties broken by ascending column
+/// index — the visiting order of both redundancy scans.
+fn descending_iv(survivors: &[(usize, f64)]) -> Vec<(usize, f64)> {
+    let mut order = survivors.to_vec();
+    order.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.0.cmp(&b.0))
+    });
+    order
 }
 
 /// Moments of column `idx`, computed on first use and shared across scan
@@ -300,7 +211,7 @@ pub const BINNED_THETA_MARGIN: f64 = 0.05;
 pub const BINNED_TRUST_FLOOR: f64 = 0.999;
 
 /// Staged-mode redundancy removal: the same greedy descending-IV scan as
-/// [`redundancy_filter_cached`], but with pair correlations computed by the
+/// [`redundancy_filter`], but with pair correlations computed by the
 /// integer co-occurrence kernel ([`safe_gbm::corr::binned_pearson`]) over
 /// `u16` bin columns quantized at `max_bins` — shared with the ranking
 /// booster through the [`BinCache`], so the rank-topk stage re-bins
@@ -309,8 +220,7 @@ pub const BINNED_TRUST_FLOOR: f64 = 0.999;
 /// The binned statistic is *not* bit-identical to the exact `f64`
 /// `pearson` (see the precision contract in `safe_gbm::corr`), which is
 /// why this function is only reachable under
-/// [`crate::config::SelectionMode::Staged`] and never consults the
-/// [`StatsCache`] used by the exact path. Two guards keep every θ-decision
+/// [`crate::config::SelectionMode::Staged`]. Two guards keep every θ-decision
 /// consistent with the exact kernel: pairs touching a column below
 /// [`BINNED_TRUST_FLOOR`] (bin-mean dilution of outliers — the estimate is
 /// unbounded there) and pairs whose estimate lands within
@@ -326,7 +236,7 @@ pub const BINNED_TRUST_FLOOR: f64 = 0.999;
 /// thread count.
 ///
 /// Returns surviving column indices in descending-IV order plus the number
-/// of pairs examined, mirroring [`redundancy_filter_cached`].
+/// of pairs examined, mirroring [`redundancy_filter`].
 pub fn redundancy_filter_binned(
     train: &Dataset,
     survivors: &[(usize, f64)],
@@ -335,12 +245,7 @@ pub fn redundancy_filter_binned(
     par: Parallelism,
     bin_cache: Option<&mut BinCache>,
 ) -> Result<(Vec<usize>, u64), BinnedRedundancyError> {
-    let mut order: Vec<(usize, f64)> = survivors.to_vec();
-    order.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
+    let order = descending_iv(survivors);
     let order_idx: Vec<usize> = order.iter().map(|&(i, _)| i).collect();
     let sub = train.select_columns(&order_idx)?;
     let binned = match bin_cache {
@@ -469,40 +374,18 @@ impl From<ParPanic> for BinnedRedundancyError {
 
 /// Section IV-C3: rank the surviving candidates by average split gain of a
 /// booster trained on exactly those columns, and keep at most `cap`.
-/// Features the booster never split on rank after used ones, in IV order
-/// (`fallback_order`). Returns column indices **into `train`**.
-pub fn rank_and_cap(
-    train: &Dataset,
-    valid: Option<&Dataset>,
-    survivors: &[usize],
-    ranker: &GbmConfig,
-    cap: usize,
-) -> Result<Vec<usize>, GbmError> {
-    rank_and_cap_observed(train, valid, survivors, ranker, cap, &safe_obs::NullSink, None)
-        .map(|(idx, _)| idx)
-}
-
-/// [`rank_and_cap`], additionally emitting the internal booster's training
-/// counters through `sink` under the `rank-topk` stage and returning them.
-pub fn rank_and_cap_observed(
-    train: &Dataset,
-    valid: Option<&Dataset>,
-    survivors: &[usize],
-    ranker: &GbmConfig,
-    cap: usize,
-    sink: &dyn safe_obs::EventSink,
-    iteration: Option<usize>,
-) -> Result<(Vec<usize>, safe_gbm::GbmFitStats), GbmError> {
-    rank_and_cap_cached(train, valid, survivors, ranker, cap, None, sink, iteration)
-}
-
-/// [`rank_and_cap_observed`] with an optional [`BinCache`] for the internal
-/// ranking booster. Column selection preserves names and values, so binned
-/// columns cached by the miner (or a previous iteration's ranker) are reused
-/// directly; the trained model — and therefore the returned ranking — is
-/// bit-identical with and without the cache.
+/// Features the booster never split on rank after used ones, in `survivors`
+/// order. Returns column indices **into `train`** plus the booster's
+/// training stats.
+///
+/// The booster runs under `ranker` (including its thread budget) and emits
+/// its training counters through `sink`, attributed to the `rank-topk`
+/// stage and `iteration`. An optional [`BinCache`] hands it binned columns
+/// cached by the miner or a previous iteration's ranker: column selection
+/// preserves names and values, so the trained model — and therefore the
+/// ranking — is bit-identical with and without the cache.
 #[allow(clippy::too_many_arguments)]
-pub fn rank_and_cap_cached(
+pub fn rank_and_cap(
     train: &Dataset,
     valid: Option<&Dataset>,
     survivors: &[usize],
@@ -516,10 +399,8 @@ pub fn rank_and_cap_cached(
     if survivors.is_empty() {
         return Ok((Vec::new(), safe_gbm::GbmFitStats::default()));
     }
-    if survivors.len() <= cap {
-        // Still rank for deterministic ordering, but nothing to cut.
-        // Fall through so the returned order is importance-based.
-    }
+    // Survivors under the cap are still ranked, so the returned order is
+    // importance-based either way.
     let sub_train = train.select_columns(survivors)?;
     let sub_valid = match valid {
         Some(v) => Some(v.select_columns(survivors)?),
@@ -549,6 +430,23 @@ pub fn rank_and_cap_cached(
 mod tests {
     use super::*;
 
+    fn iv(ds: &Dataset, alpha: f64) -> Vec<(usize, f64)> {
+        iv_filter(ds, alpha, 10, Parallelism::auto()).unwrap()
+    }
+
+    fn redundancy(ds: &Dataset, survivors: &[(usize, f64)]) -> Vec<usize> {
+        redundancy_filter(ds, survivors, 0.8, Parallelism::auto())
+            .unwrap()
+            .0
+    }
+
+    fn rank(ds: &Dataset, survivors: &[usize], cap: usize) -> Vec<usize> {
+        let miner = GbmConfig::miner();
+        let sink = &safe_obs::NullSink;
+        let ranked = rank_and_cap(ds, None, survivors, &miner, cap, None, sink, None);
+        ranked.unwrap().0
+    }
+
     /// Columns: strong signal, its near-copy, weak signal, pure noise.
     fn fixture(n: usize) -> Dataset {
         let labels: Vec<u8> = (0..n).map(|i| (i >= n / 2) as u8).collect();
@@ -569,7 +467,7 @@ mod tests {
     #[test]
     fn iv_filter_drops_noise_keeps_signal() {
         let ds = fixture(1000);
-        let kept = iv_filter(&ds, 0.1, 10);
+        let kept = iv(&ds, 0.1);
         let indices: Vec<usize> = kept.iter().map(|&(i, _)| i).collect();
         assert!(indices.contains(&0), "strong signal survives");
         assert!(indices.contains(&1), "the copy also has high IV");
@@ -582,17 +480,17 @@ mod tests {
     #[test]
     fn iv_filter_respects_alpha() {
         let ds = fixture(1000);
-        let loose = iv_filter(&ds, 0.0, 10);
-        let strict = iv_filter(&ds, 50.0, 10);
-        assert!(loose.len() >= iv_filter(&ds, 0.1, 10).len());
+        let loose = iv(&ds, 0.0);
+        let strict = iv(&ds, 50.0);
+        assert!(loose.len() >= iv(&ds, 0.1).len());
         assert!(strict.is_empty(), "nothing clears an absurd threshold");
     }
 
     #[test]
     fn redundancy_filter_keeps_one_of_each_pair() {
         let ds = fixture(1000);
-        let survivors = iv_filter(&ds, 0.1, 10);
-        let kept = redundancy_filter(&ds, &survivors, 0.8);
+        let survivors = iv(&ds, 0.1);
+        let kept = redundancy(&ds, &survivors);
         // strong and copy are affinely related (ρ = 1): only one survives.
         let both = kept.contains(&0) && kept.contains(&1);
         assert!(!both, "perfectly correlated pair must lose a member: {kept:?}");
@@ -613,7 +511,7 @@ mod tests {
         )
         .unwrap();
         let survivors = vec![(0, 2.0), (1, 1.0)];
-        let kept = redundancy_filter(&ds, &survivors, 0.8);
+        let kept = redundancy(&ds, &survivors);
         assert_eq!(kept.len(), 2);
     }
 
@@ -622,7 +520,7 @@ mod tests {
         let ds = fixture(1000);
         // Force explicit IVs: column 1 higher than column 0.
         let survivors = vec![(0, 0.5), (1, 0.9)];
-        let kept = redundancy_filter(&ds, &survivors, 0.8);
+        let kept = redundancy(&ds, &survivors);
         assert_eq!(kept, vec![1], "higher-IV member of the pair wins");
     }
 
@@ -630,7 +528,7 @@ mod tests {
     fn rank_and_cap_puts_signal_first() {
         let ds = fixture(1000);
         let survivors = vec![0, 2, 3];
-        let ranked = rank_and_cap(&ds, None, &survivors, &GbmConfig::miner(), 2).unwrap();
+        let ranked = rank(&ds, &survivors, 2);
         assert_eq!(ranked.len(), 2);
         assert_eq!(ranked[0], 0, "strong signal ranks first: {ranked:?}");
     }
@@ -638,7 +536,7 @@ mod tests {
     #[test]
     fn rank_and_cap_handles_empty() {
         let ds = fixture(100);
-        let ranked = rank_and_cap(&ds, None, &[], &GbmConfig::miner(), 5).unwrap();
+        let ranked = rank(&ds, &[], 5);
         assert!(ranked.is_empty());
     }
 
@@ -646,7 +544,7 @@ mod tests {
     fn rank_and_cap_caps() {
         let ds = fixture(500);
         let survivors = vec![0, 1, 2, 3];
-        let ranked = rank_and_cap(&ds, None, &survivors, &GbmConfig::miner(), 3).unwrap();
+        let ranked = rank(&ds, &survivors, 3);
         assert_eq!(ranked.len(), 3);
     }
 

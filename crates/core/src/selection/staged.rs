@@ -47,7 +47,7 @@ use safe_stats::par::{try_par_map, ParPanic, Parallelism};
 #[derive(Debug, Clone)]
 pub struct StagedConfig {
     /// Rows scored at rung 0; rung r samples `base_rows << r` rows
-    /// (clamped to the dataset). Default 256.
+    /// (clamped to the dataset). Default 512.
     pub base_rows: usize,
     /// Stop halving once the pool is at or under this size; these
     /// finalists proceed to exact scoring. Pools already at or under the
@@ -76,7 +76,7 @@ impl StagedConfig {
     /// `cap` here was measured to evict candidates the exact pipeline
     /// ranks into its plan, pushing AUC past the parity band on
     /// narrow-cap datasets.
-    pub fn for_pool(_cap: usize, pool: usize, beta: usize, seed: u64) -> StagedConfig {
+    pub fn for_pool(pool: usize, beta: usize, seed: u64) -> StagedConfig {
         StagedConfig {
             base_rows: 512,
             finalist_target: pool.div_ceil(2).max(128),

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use safe_core::select::staged::{staged_prune, subsample_rows, StagedConfig};
+use safe_core::selection::staged::{staged_prune, subsample_rows, StagedConfig};
 use safe_data::dataset::Dataset;
 use safe_stats::par::Parallelism;
 

@@ -15,7 +15,7 @@ use crate::importance::{FeatureImportance, ImportanceKind};
 use crate::loss::{base_margin, grad_hess, transform};
 use crate::tree::{SplitPath, Tree};
 
-/// Telemetry from one training run, returned by [`Gbm::fit_observed`].
+/// Telemetry from one training run, returned by [`Gbm::fit_cached_observed`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GbmFitStats {
     /// Boosting rounds actually executed (≤ configured `n_rounds` under
@@ -24,7 +24,7 @@ pub struct GbmFitStats {
     /// Trees in the final model (after early-stopping truncation).
     pub trees_kept: u64,
     /// Binned columns reused from a [`BinCache`] supplied to
-    /// [`Gbm::fit_cached`] (0 when training uncached).
+    /// [`Gbm::fit_cached_observed`] (0 when training uncached).
     pub cache_bin_hits: u64,
     /// Columns quantized from raw values during this fit. Under a cache
     /// this counts only the newly seen columns; uncached it equals the
@@ -78,40 +78,17 @@ impl Gbm {
         self.fit_inner(train, valid, None, &mut stats)
     }
 
-    /// [`Gbm::fit`] reusing binned columns from `cache` across fits: columns
-    /// whose `(name, max_bins)` key is already cached skip quantization
-    /// entirely, and newly quantized columns are stored back for the next
-    /// fit. Results are bit-identical to an uncached [`Gbm::fit`].
-    pub fn fit_cached(
-        &self,
-        train: &Dataset,
-        valid: Option<&Dataset>,
-        cache: &mut BinCache,
-    ) -> Result<GbmModel, GbmError> {
-        let mut stats = GbmFitStats::default();
-        self.fit_inner(train, valid, Some(cache), &mut stats)
-    }
-
-    /// [`Gbm::fit`], additionally emitting training counters through `sink`
-    /// (attributed to `stage`/`iteration`) and returning them. Emitted
-    /// counters: `gbm_rounds`, `gbm_trees`, `histogram_builds`,
-    /// `histogram_subtractions`, `nodes_grown`, and `nodes_depth<d>` per
-    /// tree level.
-    pub fn fit_observed(
-        &self,
-        train: &Dataset,
-        valid: Option<&Dataset>,
-        sink: &dyn EventSink,
-        stage: &str,
-        iteration: Option<usize>,
-    ) -> Result<(GbmModel, GbmFitStats), GbmError> {
-        self.fit_cached_observed(train, valid, None, sink, stage, iteration)
-    }
-
-    /// [`Gbm::fit_observed`] with an optional [`BinCache`]. When a cache is
-    /// supplied the additional counters `cache_bin_hits` /
-    /// `cache_bin_misses` record how many binned columns were reused versus
-    /// quantized fresh during this fit.
+    /// [`Gbm::fit`] with an optional [`BinCache`], additionally emitting
+    /// training counters through `sink` (attributed to `stage`/`iteration`)
+    /// and returning them.
+    ///
+    /// With a cache, columns whose `(name, max_bins)` key is already cached
+    /// skip quantization entirely, and newly quantized columns are stored
+    /// back for the next fit; the model is bit-identical to an uncached
+    /// fit. Emitted counters: `gbm_rounds`, `gbm_trees`, `histogram_builds`,
+    /// `histogram_subtractions`, `nodes_grown`, `nodes_depth<d>` per tree
+    /// level, and — only when a cache is supplied — `cache_bin_hits` /
+    /// `cache_bin_misses` (binned columns reused versus quantized fresh).
     pub fn fit_cached_observed(
         &self,
         train: &Dataset,
@@ -427,6 +404,7 @@ impl GbmModel {
 mod tests {
     use super::*;
     use crate::grow::grow_tree;
+    use safe_obs::NullSink;
     use safe_stats::auc::auc;
 
     /// Linearly separable two-feature data with noise features.
@@ -543,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn fit_cached_is_bit_identical_to_fit() {
+    fn cached_fit_is_bit_identical_to_fit() {
         let train = toy(400, 12);
         let test = toy(150, 13);
         let config = GbmConfig {
@@ -556,9 +534,14 @@ mod tests {
         let cold = Gbm::new(config.clone()).fit(&train, None).unwrap();
         let mut cache = BinCache::new();
         // First cached fit populates the cache, second one hits it fully.
-        let warm1 = Gbm::new(config.clone()).fit_cached(&train, None, &mut cache).unwrap();
+        let fit = |config: GbmConfig, cache: &mut BinCache| {
+            let gbm = Gbm::new(config);
+            let fitted = gbm.fit_cached_observed(&train, None, Some(cache), &NullSink, "t", None);
+            fitted.unwrap().0
+        };
+        let warm1 = fit(config.clone(), &mut cache);
         assert_eq!(cache.misses(), 3);
-        let warm2 = Gbm::new(config).fit_cached(&train, None, &mut cache).unwrap();
+        let warm2 = fit(config, &mut cache);
         assert_eq!(cache.hits(), 3);
         let reference: Vec<u64> = cold.predict(&test).iter().map(|p| p.to_bits()).collect();
         for model in [&warm1, &warm2] {

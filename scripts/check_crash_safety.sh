@@ -12,6 +12,7 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+. scripts/test_filter.sh
 
 echo "check_crash_safety: I/O fault chaos suite (kill + resume differentials)"
 cargo test --quiet --features failpoints --test crash_differential
@@ -21,6 +22,6 @@ cargo test --quiet --test failpoint_registry_drift
 
 echo "check_crash_safety: SAFECKPT codec property suite + store unit suite"
 cargo test --quiet -p safe-core --test proptest_checkpoint
-cargo test --quiet -p safe-core checkpoint
+cargo_test_some --quiet -p safe-core checkpoint
 
 echo "check_crash_safety: OK — kill/resume is bit-identical and corruption is quarantined"

@@ -10,12 +10,13 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+. scripts/test_filter.sh
 
 echo "check_determinism: serial-vs-parallel differential suite"
 cargo test --quiet --test parallel_differential
 
 echo "check_determinism: worker-panic smoke under threads=4 (failpoints)"
-cargo test --quiet --features failpoints --test parallel_differential \
+cargo_test_some --quiet --features failpoints --test parallel_differential \
     failpoint_differential
 
 echo "check_determinism: OK — parallel runs are bit-identical and panic-safe"

@@ -17,18 +17,19 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+. scripts/test_filter.sh
 
 echo "check_serve_daemon: queue + service unit suites"
-cargo test --quiet -p safe-serve queue::
-cargo test --quiet -p safe-serve service::
+cargo_test_some --quiet -p safe-serve queue::
+cargo_test_some --quiet -p safe-serve service::
 
 echo "check_serve_daemon: streamed-vs-offline differential (workers x chunking x swaps)"
 cargo test --quiet --test serve_daemon_differential
 
 echo "check_serve_daemon: CLI serve/bench-serve end-to-end"
-cargo test --quiet -p safe-cli daemon_commands_reject_nonpositive_tuning_flags
-cargo test --quiet -p safe-cli serve_daemon_scores_jsonl_and_hot_swaps_mid_stream
-cargo test --quiet -p safe-cli bench_serve_writes_daemon_section_preserving_others
+cargo_test_some --quiet -p safe-cli daemon_commands_reject_nonpositive_tuning_flags
+cargo_test_some --quiet -p safe-cli serve_daemon_scores_jsonl_and_hot_swaps_mid_stream
+cargo_test_some --quiet -p safe-cli bench_serve_writes_daemon_section_preserving_others
 
 echo "check_serve_daemon: bench-serve -> bench-diff exit-code contract"
 cargo build --quiet --release -p safe-cli

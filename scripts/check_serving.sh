@@ -15,6 +15,7 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+. scripts/test_filter.sh
 
 echo "check_serving: artifact + scorer unit and property suites"
 cargo test --quiet -p safe-serve
@@ -23,7 +24,7 @@ echo "check_serving: serial-vs-parallel scorer differential on a real fit"
 cargo test --quiet --test serving_differential
 
 echo "check_serving: CLI end-to-end (fit -> save-artifact -> score)"
-cargo test --quiet -p safe-cli save_artifact_then_score_reproduces_validation_auc_bitwise
-cargo test --quiet -p safe-cli serving_commands_classify_errors
+cargo_test_some --quiet -p safe-cli save_artifact_then_score_reproduces_validation_auc_bitwise
+cargo_test_some --quiet -p safe-cli serving_commands_classify_errors
 
 echo "check_serving: OK — artifacts round-trip and scoring is bit-stable"

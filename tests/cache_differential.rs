@@ -1,12 +1,12 @@
-//! Cached-vs-cold differential suite: the cross-iteration training caches
-//! (`safe::core::cache`) and the histogram-subtraction tree grower must be
-//! *bit-identical* to a from-scratch run. `SafeConfig::cache` only changes
-//! how repeated work is resolved — a bin-cache hit hands back the same
-//! quantization a fresh fit would compute, a stats-cache hit returns the
-//! same finalized `f64`, and histogram subtraction is performed by both
-//! paths — so toggling it must not move a single observable bit: not a
-//! plan byte, not a funnel count, not a downstream AUC. These tests pin
-//! that contract (see `DESIGN.md` §12).
+//! Cached-vs-cold differential suite: the cross-iteration bin cache
+//! (`safe::gbm::binner::BinCache`) and the histogram-subtraction tree
+//! grower must be *bit-identical* to a from-scratch run.
+//! `SafeConfig::cache` only changes how repeated work is resolved — a
+//! bin-cache hit hands back the same quantization a fresh fit would
+//! compute, and histogram subtraction is performed by both paths — so
+//! toggling it must not move a single observable bit: not a plan byte, not
+//! a funnel count, not a downstream AUC. These tests pin that contract (see
+//! `DESIGN.md` §12).
 
 use proptest::prelude::*;
 
@@ -39,7 +39,7 @@ fn interaction_dataset() -> Dataset {
 
 /// NaN-heavy data: a third of the draws in the affected columns are
 /// missing, so the missing bin, IV NaN handling, and pairwise-finite
-/// Pearson all participate in the cached values.
+/// Pearson all participate in both runs.
 fn nan_heavy_dataset() -> Dataset {
     generate(&SyntheticConfig {
         n_rows: 700,
@@ -185,18 +185,6 @@ fn warm_iterations_reuse_binned_columns() {
         cold_train.counter("cache_bin_hits"),
         None,
         "cold run must not emit cache counters"
-    );
-
-    // The selection statistics cache participates too: the iv-filter stage
-    // of a cached run records its hit/miss split.
-    let warm_iv = warm.report.iterations[0].stage("iv-filter").unwrap();
-    assert!(
-        warm_iv.counter("cache_iv_misses").is_some(),
-        "cached run records IV cache telemetry"
-    );
-    assert_eq!(
-        cold.report.iterations[0].stage("iv-filter").unwrap().counter("cache_iv_misses"),
-        None
     );
 }
 
