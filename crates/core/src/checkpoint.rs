@@ -10,9 +10,10 @@
 //! - the seed position (the per-iteration RNG seed is a pure function of
 //!   `config.seed` and the iteration index, so the index *is* the RNG
 //!   position),
-//! - bin-cache provenance ([`BinCache`](safe_gbm::binner::BinCache) keys —
-//!   metadata only; cached columns are rebuilt bit-identically from data),
 //! - the [`RunReport`] accumulated so far.
+//!
+//! The bin cache is not persisted: a resumed run starts with an empty
+//! cache and rebuilds cached columns bit-identically from the data.
 //!
 //! ## Durability protocol
 //!
@@ -202,8 +203,6 @@ pub struct Checkpoint {
     pub plans: Vec<FeaturePlan>,
     /// The telemetry report accumulated so far.
     pub report: RunReport,
-    /// `(column name, max_bins)` keys the bin cache held (provenance).
-    pub bin_keys: Vec<(String, usize)>,
 }
 
 /// Errors from checkpoint serialization, parsing, or storage.
@@ -376,9 +375,6 @@ impl Checkpoint {
             out.push_str(&plan.to_text());
             out.push_str("PLAN_END\n");
         }
-        for (name, max_bins) in &self.bin_keys {
-            let _ = writeln!(out, "BINKEY\t{max_bins}\t{name}");
-        }
         out.push_str("REPORT_BEGIN\n");
         out.push_str(&self.report.to_json());
         out.push_str("REPORT_END\n");
@@ -430,7 +426,6 @@ impl Checkpoint {
         let mut have_status: Vec<bool> = Vec::new();
         let mut have_selected: Vec<bool> = Vec::new();
         let mut report: Option<RunReport> = None;
-        let mut bin_keys: Vec<(String, usize)> = Vec::new();
 
         // Section accumulation for the PLAN / REPORT blocks.
         let mut section: Option<(&str, usize, String)> = None;
@@ -559,10 +554,12 @@ impl Checkpoint {
                     let _: usize =
                         fields[2].parse().map_err(|_| err(i, "bad CACHE count".into()))?;
                 }
+                // Bin-cache keys, written by older checkpoints and never
+                // read back (resume starts cold): validated, then ignored.
                 "BINKEY" if fields.len() == 3 => {
-                    let max_bins: usize =
-                        fields[1].parse().map_err(|_| err(i, "bad BINKEY bins".into()))?;
-                    bin_keys.push((fields[2].to_string(), max_bins));
+                    let _: usize = fields[1]
+                        .parse()
+                        .map_err(|_| err(i, "bad BINKEY bins".into()))?;
                 }
                 "REPORT_BEGIN" => {
                     section = Some(("report", i, String::new()));
@@ -608,7 +605,6 @@ impl Checkpoint {
             history,
             plans,
             report,
-            bin_keys,
         })
     }
 }
@@ -866,7 +862,6 @@ mod tests {
             }],
             plans: vec![plan],
             report: sample_report(),
-            bin_keys: vec![("a".into(), 255), ("mul(a,b)".into(), 255)],
         }
     }
 
@@ -882,7 +877,6 @@ mod tests {
         }
         assert_eq!(a.plans, b.plans);
         assert_eq!(a.report, b.report);
-        assert_eq!(a.bin_keys, b.bin_keys);
     }
 
     #[test]
@@ -895,12 +889,12 @@ mod tests {
         assert_eq!(parsed.to_text(), text);
     }
 
-    /// `text` with `records` spliced in before the first `BINKEY` line —
-    /// where the format's earlier writer put its `CACHE` records — and the
-    /// checksum recomputed.
+    /// `text` with `records` spliced in before the `REPORT_BEGIN` line —
+    /// where the format's earlier writers put their `CACHE` and `BINKEY`
+    /// records — and the checksum recomputed.
     fn with_cache_records(text: &str, records: &str) -> String {
         let body = text.splitn(3, '\n').nth(2).unwrap();
-        let at = body.find("BINKEY\t").unwrap();
+        let at = body.find("REPORT_BEGIN\n").unwrap();
         let body = format!("{}{records}{}", &body[..at], &body[at..]);
         let checksum = fnv1a64(body.as_bytes());
         format!("SAFECKPT\t1\nCHECKSUM\t{checksum:016x}\n{body}")
@@ -908,16 +902,22 @@ mod tests {
 
     #[test]
     fn stats_cache_records_from_older_snapshots_are_ignored() {
-        // Snapshots written while the stats cache existed carry its entry
-        // counts; they must still load (else resume would quarantine them).
+        // Snapshots from older writers carry stats-cache entry counts and
+        // bin-cache keys; they must still load (else resume would
+        // quarantine them).
         let ckpt = sample_checkpoint();
         let text = ckpt.to_text();
-        let older = with_cache_records(&text, "CACHE\tiv\t9\nCACHE\tpearson\t21\n");
-        let parsed = Checkpoint::from_text(&older).unwrap();
-        assert_ckpt_eq(&ckpt, &parsed);
-        assert_eq!(parsed.to_text(), text, "the writer emits no CACHE records");
+        for records in [
+            "CACHE\tiv\t9\nCACHE\tpearson\t21\n",
+            "BINKEY\t255\ta\nBINKEY\t255\tmul(a,b)\n",
+        ] {
+            let older = with_cache_records(&text, records);
+            let parsed = Checkpoint::from_text(&older).unwrap();
+            assert_ckpt_eq(&ckpt, &parsed);
+            assert_eq!(parsed.to_text(), text, "the writer emits neither record");
+        }
         // Unknown kinds and malformed counts are still parse errors.
-        for bad in ["CACHE\tbins\t3\n", "CACHE\tiv\tmany\n"] {
+        for bad in ["CACHE\tbins\t3\n", "CACHE\tiv\tmany\n", "BINKEY\tmany\ta\n"] {
             let doc = with_cache_records(&text, bad);
             let parsed = Checkpoint::from_text(&doc);
             assert!(matches!(parsed, Err(CkptError::Parse { .. })), "{bad}");
@@ -1095,7 +1095,6 @@ mod tests {
             history: vec![],
             plans: vec![],
             report: RunReport::default(),
-            bin_keys: vec![],
         };
         let parsed = Checkpoint::from_text(&ckpt.to_text()).unwrap();
         assert_ckpt_eq(&ckpt, &parsed);

@@ -110,8 +110,9 @@ pub struct SafeConfig {
     /// staged redundancy scan) across iterations through a
     /// [`BinCache`](safe_gbm::binner::BinCache) keyed by stable column
     /// names. Results are **bit-identical** with the cache on or off
-    /// (`tests/cache_differential.rs` pins this); disabling only exists for
-    /// benchmarking the cold path. Default `true`.
+    /// (`tests/cache_differential.rs` pins this, with `false` as its cold
+    /// side). Default `true`: DESIGN.md §12 has the measurements that
+    /// keep the cache.
     pub cache: bool,
     /// Directory for durable iteration checkpoints (`SAFECKPT` files, see
     /// [`crate::checkpoint`]). `None` (the default) disables

@@ -25,7 +25,7 @@ use safe_data::dataset::{Dataset, FeatureMeta};
 use safe_gbm::binner::BinCache;
 use safe_gbm::booster::{Gbm, GbmModel};
 use safe_gbm::error::GbmError;
-use safe_obs::{stages, ReportBuilder, RunReport, StageGuard, Waterfall};
+use safe_obs::{stages, ReportBuilder, RunReport, Waterfall};
 use safe_stats::par::ParPanic;
 
 use crate::checkpoint::{Checkpoint, CheckpointStore, ConfigFingerprint, Terminal};
@@ -709,17 +709,14 @@ impl Safe {
     fn fit_miner(&self, st: &mut IterState<'_>) -> Result<GbmModel, GbmError> {
         let mut g = st.rb.stage(stages::GBM_TRAIN);
         g.counter("threads", self.config.miner.parallelism.resolve() as u64);
-        let cached = st.bin_cache.is_some();
-        let (model, stats) = Gbm::new(self.config.miner.clone()).fit_cached_observed(
+        Gbm::new(self.config.miner.clone()).fit_cached_observed(
             &st.train,
             st.valid.as_ref(),
             st.bin_cache.as_mut(),
             g.sink(),
             stages::GBM_TRAIN,
             g.iteration(),
-        )?;
-        absorb_gbm_stats(&mut g, &stats, cached);
-        Ok(model)
+        )
     }
 
     /// Apply the operator set to the ranked combinations (`generate`).
@@ -846,20 +843,19 @@ impl Safe {
             g.set_flow(kept.len() as u64, kept.len() as u64);
             return Ok(kept);
         }
-        let cached = st.bin_cache.is_some();
         let (sink, it) = (g.sink(), g.iteration());
         let ranker = &self.config.ranker;
         let cache = st.bin_cache.as_mut();
-        let (idx, stats) = rank_and_cap(pool, pool_valid, &kept, ranker, cap, cache, sink, it)
-            .map_err(|source| {
+        let idx = rank_and_cap(pool, pool_valid, &kept, ranker, cap, cache, sink, it).map_err(
+            |source| {
                 let e = SafeError::Gbm {
                     iteration,
                     stage: "rank",
                     source,
                 };
                 StageFailure::new("rank", e.chain_string())
-            })?;
-        absorb_gbm_stats(&mut g, &stats, cached);
+            },
+        )?;
         g.set_flow(kept.len() as u64, idx.len() as u64);
         Ok(idx)
     }
@@ -868,16 +864,18 @@ impl Safe {
     /// sink-only `checkpoint` span with `ckpt_bytes`/`ckpt_iterations`
     /// counters. No-op without a configured directory.
     ///
-    /// The span is deliberately NOT recorded in the `RunReport`: the report
-    /// embedded in the snapshot must match the uninterrupted run's, and a
-    /// resumed run replays no checkpoint spans for its first segment. For
-    /// the same reason a failed save degrades *durability*, not training —
-    /// the error surfaces as a sink warning and the loop carries on.
+    /// The span goes to the configured sink, not the report builder, and
+    /// the report fold drops `checkpoint` events when replaying a trace:
+    /// the report embedded in the snapshot must match the uninterrupted
+    /// run's, and a resumed run replays no checkpoint spans for its first
+    /// segment. For the same reason a failed save degrades *durability*,
+    /// not training — the error surfaces as a sink warning and the loop
+    /// carries on.
     fn write_checkpoint(&self, st: &IterState<'_>, terminal: Terminal, iteration: usize) {
         let Some(store) = st.store.as_ref() else {
             return;
         };
-        let sink = st.rb.sink();
+        let sink = self.config.sink.as_dyn();
         let report = st.rb.snapshot();
         let elapsed_us = st.prior_elapsed_us + st.start.elapsed().as_micros() as u64;
         let t0 = Instant::now();
@@ -890,7 +888,6 @@ impl Safe {
             history: st.history.clone(),
             plans: st.plans.clone(),
             report,
-            bin_keys: st.bin_cache.as_ref().map(|c| c.keys()).unwrap_or_default(),
         };
         let save_t0 = Instant::now();
         let saved = store.save(&ckpt);
@@ -1119,25 +1116,6 @@ fn record_oocore(train: &Dataset, rb: &mut ReportBuilder<'_>) {
     g.counter("oocore_peak_resident_bytes", peak);
     g.counter("oocore_budget_bytes", budget);
     g.counter("oocore_table_bytes", table);
-}
-
-/// Record the booster counters [`Gbm::fit_cached_observed`] already emitted
-/// through the sink into the stage's report entry (in the same order),
-/// without re-emitting them. The bin-cache counters exist only when the fit
-/// actually ran with a cache.
-fn absorb_gbm_stats(g: &mut StageGuard<'_, '_>, stats: &safe_gbm::GbmFitStats, cached: bool) {
-    g.absorb("gbm_rounds", stats.rounds_run);
-    g.absorb("gbm_trees", stats.trees_kept);
-    g.absorb("histogram_builds", stats.grow.histogram_builds);
-    g.absorb("histogram_subtractions", stats.grow.histogram_subtractions);
-    g.absorb("nodes_grown", stats.grow.total_nodes());
-    for (depth, &n) in stats.grow.nodes_per_depth.iter().enumerate() {
-        g.absorb(&format!("nodes_depth{depth}"), n);
-    }
-    if cached {
-        g.absorb("cache_bin_hits", stats.cache_bin_hits);
-        g.absorb("cache_bin_misses", stats.cache_bin_misses);
-    }
 }
 
 /// Current feature names as owned strings.

@@ -375,8 +375,7 @@ impl From<ParPanic> for BinnedRedundancyError {
 /// Section IV-C3: rank the surviving candidates by average split gain of a
 /// booster trained on exactly those columns, and keep at most `cap`.
 /// Features the booster never split on rank after used ones, in `survivors`
-/// order. Returns column indices **into `train`** plus the booster's
-/// training stats.
+/// order. Returns column indices **into `train`**.
 ///
 /// The booster runs under `ranker` (including its thread budget) and emits
 /// its training counters through `sink`, attributed to the `rank-topk`
@@ -394,10 +393,10 @@ pub fn rank_and_cap(
     cache: Option<&mut BinCache>,
     sink: &dyn safe_obs::EventSink,
     iteration: Option<usize>,
-) -> Result<(Vec<usize>, safe_gbm::GbmFitStats), GbmError> {
+) -> Result<Vec<usize>, GbmError> {
     safe_data::failpoint!("select/rank", GbmError::Injected("select/rank"));
     if survivors.is_empty() {
-        return Ok((Vec::new(), safe_gbm::GbmFitStats::default()));
+        return Ok(Vec::new());
     }
     // Survivors under the cap are still ranked, so the returned order is
     // importance-based either way.
@@ -406,7 +405,7 @@ pub fn rank_and_cap(
         Some(v) => Some(v.select_columns(survivors)?),
         None => None,
     };
-    let (model, stats) = Gbm::new(ranker.clone()).fit_cached_observed(
+    let model = Gbm::new(ranker.clone()).fit_cached_observed(
         &sub_train,
         sub_valid.as_ref(),
         cache,
@@ -422,8 +421,7 @@ pub fn rank_and_cap(
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(&b))
     });
-    let selected = order.into_iter().take(cap).map(|i| survivors[i]).collect();
-    Ok((selected, stats))
+    Ok(order.into_iter().take(cap).map(|i| survivors[i]).collect())
 }
 
 #[cfg(test)]
@@ -443,8 +441,7 @@ mod tests {
     fn rank(ds: &Dataset, survivors: &[usize], cap: usize) -> Vec<usize> {
         let miner = GbmConfig::miner();
         let sink = &safe_obs::NullSink;
-        let ranked = rank_and_cap(ds, None, survivors, &miner, cap, None, sink, None);
-        ranked.unwrap().0
+        rank_and_cap(ds, None, survivors, &miner, cap, None, sink, None).unwrap()
     }
 
     /// Columns: strong signal, its near-copy, weak signal, pure noise.

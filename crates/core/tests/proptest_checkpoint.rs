@@ -26,7 +26,7 @@ const TERMINALS: [Terminal; 5] = [
 
 /// Unique feature names from a fuzzed unicode base: the suffix guarantees
 /// uniqueness, the base exercises multi-byte UTF-8 in every codec line that
-/// carries names (plan INPUT/STEP/OUT, SELECTED, BINKEY).
+/// carries names (plan INPUT/STEP/OUT, SELECTED).
 fn names(base: &str, n: usize, tag: &str) -> Vec<String> {
     (0..n).map(|i| format!("{base}{tag}{i}")).collect()
 }
@@ -146,7 +146,6 @@ fn make_checkpoint(
         history,
         plans: (0..n_iters).map(|_| plan.clone()).collect(),
         report: make_report(n_iters, reason),
-        bin_keys: inputs.iter().map(|n| (n.clone(), 255)).collect(),
     }
 }
 
@@ -185,7 +184,6 @@ fn assert_round_trip(ckpt: &Checkpoint) {
     }
     assert!(plans_bit_eq(&parsed.plans, &ckpt.plans));
     assert_eq!(parsed.report, ckpt.report);
-    assert_eq!(parsed.bin_keys, ckpt.bin_keys);
     // Re-serialization is byte-identical (the checksum line depends on it).
     assert_eq!(parsed.to_text(), text);
 }

@@ -165,28 +165,49 @@ fn null_sink_outcome_identical_to_instrumented_run() {
     );
 }
 
+/// Replaying a fit's event stream gives its inline report, with and
+/// without checkpointing: the sink-only `checkpoint` spans never enter
+/// either.
 #[test]
 fn report_from_events_matches_inline_assembly() {
-    let sink = Arc::new(MemorySink::new());
-    let outcome = fit_with(SinkHandle::new(sink.clone()), 2);
-    let replayed = RunReport::from_events(&sink.events());
+    let ckpt_dir =
+        std::env::temp_dir().join(format!("safe_telemetry_replay_{}", std::process::id()));
+    for checkpoint_dir in [None, Some(ckpt_dir.clone())] {
+        let _ = std::fs::remove_dir_all(&ckpt_dir);
+        let sink = Arc::new(MemorySink::new());
+        let config = SafeConfig {
+            sink: SinkHandle::new(sink.clone()),
+            seed: 7,
+            gamma: 10,
+            n_iterations: 2,
+            checkpoint_dir,
+            ..SafeConfig::paper()
+        };
+        let outcome = Safe::new(config).fit(&dataset(800, 7), None).unwrap();
+        let replayed = RunReport::from_events(&sink.events());
 
-    assert_eq!(replayed.iterations.len(), outcome.report.iterations.len());
-    for (r, i) in replayed.iterations.iter().zip(&outcome.report.iterations) {
-        assert_eq!(r.iteration, i.iteration);
-        assert_eq!(r.status, i.status);
-        assert_eq!(r.waterfall, i.waterfall);
-        assert_eq!(r.stages.len(), i.stages.len(), "iteration {}", i.iteration);
-        for (x, y) in r.stages.iter().zip(&i.stages) {
-            assert_eq!(x.stage, y.stage);
-            assert_eq!(x.features_in, y.features_in);
-            assert_eq!(x.features_out, y.features_out);
-            assert_eq!(x.counters, y.counters, "stage {}", y.stage);
-            assert_eq!(x.micros, y.micros, "stage {}", y.stage);
+        assert_eq!(replayed.iterations.len(), outcome.report.iterations.len());
+        for (r, i) in replayed.iterations.iter().zip(&outcome.report.iterations) {
+            assert_eq!(r.iteration, i.iteration);
+            assert_eq!(r.status, i.status);
+            assert_eq!(r.waterfall, i.waterfall);
+            assert_eq!(r.stages.len(), i.stages.len(), "iteration {}", i.iteration);
+            for (x, y) in r.stages.iter().zip(&i.stages) {
+                assert_eq!(x.stage, y.stage);
+                assert_eq!(x.features_in, y.features_in);
+                assert_eq!(x.features_out, y.features_out);
+                assert_eq!(x.counters, y.counters, "stage {}", y.stage);
+                assert_eq!(x.micros, y.micros, "stage {}", y.stage);
+            }
         }
+        assert_eq!(replayed.setup.len(), outcome.report.setup.len());
+        assert_eq!(replayed.warnings, outcome.report.warnings);
+        assert!(
+            replayed.structural_eq(&outcome.report),
+            "the replayed report must equal the inline one"
+        );
     }
-    assert_eq!(replayed.setup.len(), outcome.report.setup.len());
-    assert_eq!(replayed.warnings, outcome.report.warnings);
+    std::fs::remove_dir_all(&ckpt_dir).ok();
 }
 
 /// The metrics layer's acceptance contract: latency *values* are

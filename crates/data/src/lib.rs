@@ -19,13 +19,13 @@
 //! Out-of-core backend (DESIGN.md §16):
 //! - [`chunk`] — fixed-size row chunks with file-backed spill segments and
 //!   an LRU of decoded chunks,
-//! - [`column`] — the [`ColumnRead`] trait / [`ColumnView`] access surface
+//! - [`column`](mod@column) — the [`ColumnRead`] trait / [`ColumnView`] access surface
 //!   the hot paths consume instead of raw `&[f64]` slices,
 //! - [`csv::read_csv_chunked`] — streaming ingest that never materializes
 //!   the full table.
 //!
 //! Robustness additions:
-//! - [`audit`] — pre-flight scan for degenerate data (all-missing or
+//! - [`audit`](mod@audit) — pre-flight scan for degenerate data (all-missing or
 //!   constant columns, infinities, single-class labels) with
 //!   reject/warn/repair policies,
 //! - [`failpoints`] — feature-gated fault injection used by the

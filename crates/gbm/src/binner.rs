@@ -7,21 +7,20 @@
 //! distinct values, the quantization is lossless and split finding is exact
 //! greedy.
 //!
-//! # Incremental binning and the cross-iteration cache
+//! # The cross-iteration bin cache
 //!
 //! SAFE retrains a GBM every iteration on a matrix that is mostly *unchanged*:
 //! survivors of the previous selection keep their exact values (selection
 //! copies columns, it never rewrites them), and only the freshly generated
-//! candidates X̃ are new. [`BinnedDataset`] therefore exposes an incremental
-//! surface — [`BinnedDataset::fit`] for a whole dataset,
-//! [`BinnedDataset::extend_with`] to append further columns — and a
-//! [`BinCache`] that keys finished `(mapper, bin column)` pairs by **column
-//! provenance** (the column name: generated names encode operator + parents,
-//! names are unique within a dataset, and a name's values are immutable
-//! within a run). A cache hit hands back shared [`Arc`]s, so re-binning a
-//! surviving column costs a map lookup instead of an `O(n_rows)` quantile
-//! fit — and is *bit-identical* to refitting, because quantization is a
-//! deterministic function of the (unchanged) values.
+//! candidates X̃ are new. [`BinnedDataset::fit_cached`] therefore bins
+//! through a [`BinCache`] that keys finished `(mapper, bin column)` pairs
+//! by **column provenance** (the column name: generated names encode
+//! operator + parents, names are unique within a dataset, and a name's
+//! values are immutable within a run). A cache hit hands back shared
+//! [`Arc`]s, so re-binning a surviving column costs a map lookup instead of
+//! an `O(n_rows)` quantile fit — and is *bit-identical* to refitting,
+//! because quantization is a deterministic function of the (unchanged)
+//! values.
 //!
 //! The cache is guarded by row count: entries are keyed by `(name,
 //! max_bins)` and the whole cache self-invalidates when a fit arrives with a
@@ -37,7 +36,6 @@ use safe_data::column::{ColumnRead, ColumnView};
 use safe_data::dataset::Dataset;
 use safe_stats::par::{par_map, Parallelism};
 
-use crate::error::GbmError;
 
 /// Per-feature mapping between raw values and bin indices.
 #[derive(Debug, Clone)]
@@ -158,20 +156,9 @@ impl BinCache {
         self.entries.is_empty()
     }
 
-    /// Cached entry keys `(column name, max_bins)`, sorted. Provenance
-    /// metadata for the `SAFECKPT` checkpoint — the keys say which columns
-    /// a resumed run will find warm, without persisting the binned values
-    /// themselves (they are rebuilt bit-identically from the data).
-    pub fn keys(&self) -> Vec<(String, usize)> {
-        let mut keys: Vec<(String, usize)> =
-            self.entries.keys().cloned().collect();
-        keys.sort();
-        keys
-    }
-
     /// Drop every entry (counters are kept — they describe the run, not the
     /// current contents).
-    pub fn invalidate(&mut self) {
+    fn invalidate(&mut self) {
         self.entries.clear();
         self.n_rows = None;
     }
@@ -189,10 +176,9 @@ impl BinCache {
 }
 
 /// A dataset quantized for training: column-major `u16` bin indices plus the
-/// per-feature mappers. Construct with [`BinnedDataset::fit`] (optionally
-/// through a [`BinCache`]) and grow with [`BinnedDataset::extend_with`];
-/// fields are private so the cache-sharing and shape invariants hold by
-/// construction.
+/// per-feature mappers. Construct with [`BinnedDataset::fit`], or
+/// [`BinnedDataset::fit_cached`] through a [`BinCache`]; fields are private
+/// so the cache-sharing and shape invariants hold by construction.
 #[derive(Debug, Clone)]
 pub struct BinnedDataset {
     columns: Vec<BinnedColumn>,
@@ -235,24 +221,8 @@ impl BinnedDataset {
         out
     }
 
-    /// Append every column of `ds` (same rows, new features) to this binned
-    /// dataset — the incremental path for SAFE's per-iteration candidates
-    /// X̃, which re-bins **only** the appended columns. Equals a fresh
-    /// [`BinnedDataset::fit`] of the concatenated matrix.
-    pub fn extend_with(&mut self, ds: &Dataset, par: Parallelism) -> Result<(), GbmError> {
-        if ds.n_rows() != self.n_rows {
-            return Err(GbmError::Config(format!(
-                "extend_with row mismatch: binned dataset has {} rows, appended columns have {}",
-                self.n_rows,
-                ds.n_rows()
-            )));
-        }
-        self.extend_columns(ds, par, None);
-        Ok(())
-    }
-
-    /// Shared tail of `fit`/`fit_cached`/`extend_with`: quantize (or look
-    /// up) each column of `ds` and append in column order.
+    /// Shared tail of `fit`/`fit_cached`: quantize (or look up) each column
+    /// of `ds` and append in column order.
     fn extend_columns(&mut self, ds: &Dataset, par: Parallelism, cache: Option<&mut BinCache>) {
         // Quantization sorts a copy of the column, so each worker
         // materializes its column through the view API: zero-copy when
@@ -437,35 +407,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn extend_with_equals_fresh_fit_of_concatenation() {
-        let base = two_col_dataset();
-        let extra = Dataset::from_columns(
-            vec!["c".into()],
-            vec![vec![0.5, f64::NAN, 2.5]],
-            None,
-        )
-        .unwrap();
-        let mut incremental = BinnedDataset::fit(&base, 16, Parallelism::auto());
-        incremental.extend_with(&extra, Parallelism::auto()).unwrap();
-
-        let concat = Dataset::from_columns(
-            vec!["a".into(), "b".into(), "c".into()],
-            vec![vec![1.0, 2.0, 3.0], vec![9.0, 8.0, 7.0], vec![0.5, f64::NAN, 2.5]],
-            None,
-        )
-        .unwrap();
-        let fresh = BinnedDataset::fit(&concat, 16, Parallelism::auto());
-        assert_binned_eq(&incremental, &fresh);
-    }
-
-    #[test]
-    fn extend_with_rejects_row_mismatch() {
-        let mut bm = BinnedDataset::fit(&two_col_dataset(), 16, Parallelism::auto());
-        let wrong = Dataset::from_columns(vec!["c".into()], vec![vec![1.0, 2.0]], None).unwrap();
-        assert!(bm.extend_with(&wrong, Parallelism::auto()).is_err());
     }
 
     #[test]

@@ -15,9 +15,10 @@ use crate::importance::{FeatureImportance, ImportanceKind};
 use crate::loss::{base_margin, grad_hess, transform};
 use crate::tree::{SplitPath, Tree};
 
-/// Telemetry from one training run, returned by [`Gbm::fit_cached_observed`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GbmFitStats {
+/// Telemetry from one training run, which [`Gbm::fit_cached_observed`]
+/// emits through its sink.
+#[derive(Debug, Default)]
+pub(crate) struct GbmFitStats {
     /// Boosting rounds actually executed (≤ configured `n_rounds` under
     /// early stopping).
     pub rounds_run: u64,
@@ -26,17 +27,16 @@ pub struct GbmFitStats {
     /// Binned columns reused from a [`BinCache`] supplied to
     /// [`Gbm::fit_cached_observed`] (0 when training uncached).
     pub cache_bin_hits: u64,
-    /// Columns quantized from raw values during this fit. Under a cache
-    /// this counts only the newly seen columns; uncached it equals the
-    /// feature count.
+    /// Columns quantized fresh under a cache, i.e. the newly seen columns
+    /// (0 when training uncached).
     pub cache_bin_misses: u64,
     /// Aggregated tree-construction telemetry (histogram builds and
     /// subtractions, nodes grown per depth).
     pub grow: GrowStats,
     /// Wall-clock microseconds per boosting round, in execution order.
     /// Timing telemetry only: emitted as sink-only `gbm_round_us` observe
-    /// events, never absorbed into report counters (wall-clock would break
-    /// the resumed-report `==` contract).
+    /// events, never as report counters (wall-clock would break the
+    /// resumed-report `==` contract).
     pub round_us: Vec<u64>,
     /// Microseconds spent accumulating histograms from rows, per round
     /// (the round's share of `grow.hist_build_us`).
@@ -79,8 +79,7 @@ impl Gbm {
     }
 
     /// [`Gbm::fit`] with an optional [`BinCache`], additionally emitting
-    /// training counters through `sink` (attributed to `stage`/`iteration`)
-    /// and returning them.
+    /// training counters through `sink` (attributed to `stage`/`iteration`).
     ///
     /// With a cache, columns whose `(name, max_bins)` key is already cached
     /// skip quantization entirely, and newly quantized columns are stored
@@ -97,7 +96,7 @@ impl Gbm {
         sink: &dyn EventSink,
         stage: &str,
         iteration: Option<usize>,
-    ) -> Result<(GbmModel, GbmFitStats), GbmError> {
+    ) -> Result<GbmModel, GbmError> {
         let mut stats = GbmFitStats::default();
         let cached = cache.is_some();
         let model = self.fit_inner(train, valid, cache, &mut stats)?;
@@ -127,7 +126,7 @@ impl Gbm {
         for &us in &stats.round_hist_us {
             sink.observe(stage, iteration, "gbm_hist_build_us", us);
         }
-        Ok((model, stats))
+        Ok(model)
     }
 
     fn fit_inner(
@@ -537,7 +536,7 @@ mod tests {
         let fit = |config: GbmConfig, cache: &mut BinCache| {
             let gbm = Gbm::new(config);
             let fitted = gbm.fit_cached_observed(&train, None, Some(cache), &NullSink, "t", None);
-            fitted.unwrap().0
+            fitted.unwrap()
         };
         let warm1 = fit(config.clone(), &mut cache);
         assert_eq!(cache.misses(), 3);

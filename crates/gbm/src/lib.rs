@@ -51,7 +51,7 @@ pub mod tree;
 
 pub use binner::{BinCache, BinMapper, BinnedDataset};
 pub use corr::{binned_pearson, CorrColumn, CorrScratch};
-pub use booster::{Gbm, GbmFitStats, GbmModel};
+pub use booster::{Gbm, GbmModel};
 pub use error::GbmError;
 pub use grow::GrowStats;
 pub use dump::{dump_model, dump_tree};

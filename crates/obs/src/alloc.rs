@@ -1,7 +1,7 @@
 //! Feature-gated counting global allocator (`alloc-metrics`).
 //!
 //! When the `alloc-metrics` feature is enabled, a binary can install
-//! [`CountingAllocator`] as its `#[global_allocator]`; every allocation is
+//! `CountingAllocator` as its `#[global_allocator]`; every allocation is
 //! then tallied into process-wide atomics and [`alloc_snapshot`] reports
 //! cumulative allocation count/bytes, currently live bytes, and the peak
 //! high-water mark. The report builder samples these around each stage
@@ -116,7 +116,7 @@ mod counting {
 pub use counting::CountingAllocator;
 
 /// Current process-wide allocation statistics. Zeros unless the
-/// `alloc-metrics` feature is enabled *and* [`CountingAllocator`] is
+/// `alloc-metrics` feature is enabled *and* `CountingAllocator` is
 /// installed as the global allocator.
 pub fn alloc_snapshot() -> AllocSnapshot {
     #[cfg(feature = "alloc-metrics")]

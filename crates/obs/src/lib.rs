@@ -16,8 +16,12 @@
 //! From the instrumentation, [`ReportBuilder`] assembles a [`RunReport`]:
 //! per-iteration, per-stage timings (integer microseconds), counters, and
 //! the feature-count waterfall (generated → post-IV → post-redundancy →
-//! post-top-k). The same report can be reassembled offline from collected
-//! events via [`RunReport::from_events`].
+//! post-top-k). The builder turns every report call into an [`Event`] and
+//! folds it into the report with the same fold [`RunReport::from_events`]
+//! runs over a collected stream, so a trace carries the whole report. The
+//! builder is also the sink a stage hands its callees (the booster), so
+//! their counters reach the report through that fold. `checkpoint` events
+//! never enter a report.
 //!
 //! ## Stage-name vocabulary (stable contract)
 //!
@@ -40,11 +44,11 @@
 //!
 //! ## Metrics and profiling (PR 7)
 //!
-//! [`metrics`] adds a zero-dependency labelled registry —
-//! [`metrics::Counter`], [`metrics::Gauge`], and the deterministic
-//! log2-bucketed [`LatencyHisto`] with exact merge and p50/p95/p99 — whose
-//! [`MetricsSnapshot`] lands in `RunReport.metrics` and renders to
-//! Prometheus text format via [`render_prometheus`]. Hot paths emit
+//! [`metrics`] adds a zero-dependency labelled [`MetricsRegistry`] of
+//! counters, gauges, and the deterministic log2-bucketed [`LatencyHisto`]
+//! (exact merge, p50/p95/p99). Its [`MetricsSnapshot`] lands in
+//! `RunReport.metrics` and renders to Prometheus text format via
+//! [`render_prometheus`]. Hot paths emit
 //! sink-only `observe` events (per-round GBM timings, checkpoint writes,
 //! scorer batches) replayed by [`MetricsSnapshot::from_events`]. [`trace`]
 //! replays any recorded event stream into Chrome trace-event JSON
@@ -65,8 +69,8 @@ pub mod trace;
 
 pub use alloc::{alloc_metrics_enabled, alloc_snapshot, AllocSnapshot};
 pub use metrics::{
-    escape_label_value, render_prometheus, Counter, Gauge, LatencyHisto, MetricKey,
-    MetricsRegistry, MetricsSnapshot,
+    escape_label_value, render_prometheus, LatencyHisto, MetricKey, MetricsRegistry,
+    MetricsSnapshot,
 };
 pub use report::{
     IterationTelemetry, ReportBuilder, RunReport, StageGuard, StageTelemetry, Waterfall, WarnRecord,

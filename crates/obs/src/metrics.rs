@@ -1,6 +1,6 @@
-//! Zero-dependency metrics primitives: counters, gauges, a deterministic
-//! log2-bucketed latency histogram, a labelled registry, and a Prometheus
-//! text-exposition renderer.
+//! Zero-dependency metrics primitives: a deterministic log2-bucketed
+//! latency histogram, a labelled registry of counters, gauges and
+//! histograms, and a Prometheus text-exposition renderer.
 //!
 //! Everything here is exact integer arithmetic — no floating-point
 //! accumulation — so snapshots, merges, and quantiles are bit-identical
@@ -22,7 +22,6 @@
 //!   into histograms after the fact.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::sink::{Event, EventKind};
@@ -30,58 +29,6 @@ use crate::sink::{Event, EventKind};
 /// Number of histogram buckets: one for zero plus one per power of two up to
 /// `u64::MAX` (bucket 64 covers `[2^63, u64::MAX]`).
 pub const HISTO_BUCKETS: usize = 65;
-
-/// A monotonically increasing atomic counter, usable from a `static`.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A counter starting at zero (`const`, so it can back a `static`).
-    pub const fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Add `delta` to the counter.
-    pub fn add(&self, delta: u64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Increment the counter by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// An atomic gauge holding a signed instantaneous value.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// A gauge starting at zero (`const`, so it can back a `static`).
-    pub const fn new() -> Self {
-        Gauge(AtomicI64::new(0))
-    }
-
-    /// Replace the gauge value.
-    pub fn set(&self, value: i64) {
-        self.0.store(value, Ordering::Relaxed);
-    }
-
-    /// Add `delta` (may be negative) to the gauge.
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// Bucket index for a recorded value: 0 holds exactly the value 0, bucket
 /// `i >= 1` holds `[2^(i-1), 2^i - 1]`. Pure integer function of the value,
@@ -285,12 +232,6 @@ impl MetricsRegistry {
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], value: u64) {
         let key = MetricKey::new(name, labels);
         self.locked().histos.entry(key).or_default().record(value);
-    }
-
-    /// Merge a whole histogram into the one identified by `name` + `labels`.
-    pub fn observe_histo(&self, name: &str, labels: &[(&str, &str)], histo: &LatencyHisto) {
-        let key = MetricKey::new(name, labels);
-        self.locked().histos.entry(key).or_default().merge(histo);
     }
 
     /// Deterministic point-in-time copy of every metric, sorted by key.

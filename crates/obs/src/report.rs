@@ -1,17 +1,21 @@
 //! Run-report assembly: per-iteration, per-stage timings, counters, and
 //! the feature-count waterfall.
 //!
-//! [`ReportBuilder`] is the write side: the pipeline opens stage spans,
-//! records counters, and the builder both forwards everything to the
-//! configured [`EventSink`] and accumulates the [`RunReport`] returned in
-//! the fit outcome. [`RunReport::from_events`] is the read side: the same
-//! report reassembled from a collected event stream (a [`MemorySink`]
-//! snapshot or a parsed `--trace-jsonl` file), used by tests to prove the
-//! two views agree.
+//! One private fold is the only code that turns [`Event`]s into a
+//! [`RunReport`]. [`ReportBuilder`] is the write side: the pipeline opens
+//! stage spans and records counters, and the builder turns each call into
+//! an event, forwards it to the configured [`EventSink`] when that sink is
+//! enabled, and always folds it. The builder is itself an [`EventSink`], so
+//! a callee handed [`StageGuard::sink`] (the booster) reaches the report
+//! the same way. [`RunReport::from_events`] runs the same fold over a
+//! recorded stream (a [`MemorySink`] snapshot or a parsed `--trace-jsonl`
+//! file): the offline replay of a run. Events of the `checkpoint` stage
+//! never enter a report.
 //!
 //! [`MemorySink`]: crate::sink::MemorySink
 
 use std::fmt::Write as _;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::alloc::{alloc_metrics_enabled, alloc_snapshot, AllocSnapshot};
@@ -206,92 +210,23 @@ impl RunReport {
             && self.warnings == other.warnings
     }
 
-    /// Reassemble a report from a collected event stream (the inverse of
-    /// what [`ReportBuilder`] emits). Events that do not follow the
-    /// builder's framing (unmatched ends, counters outside spans) are
-    /// ignored rather than rejected. The run total is the sum of iteration
-    /// and setup span durations (the builder's own total also includes
-    /// time between spans, so compare per-stage values, not totals).
+    /// Reassemble a report from a collected event stream: the same fold
+    /// [`ReportBuilder`] runs over every event it emits, so a trace carries
+    /// the whole report. Events that do not follow the builder's framing
+    /// (unmatched ends, counters outside spans) are ignored rather than
+    /// rejected. The run total is the sum of iteration and setup span
+    /// durations (the builder's own total also includes time between spans,
+    /// so compare per-stage values, not totals), and `metrics` holds the
+    /// stream's `observe` histograms.
     pub fn from_events(events: &[Event]) -> RunReport {
-        let mut report = RunReport::default();
-        let mut current: Option<IterationTelemetry> = None;
-        let mut open: Vec<StageTelemetry> = Vec::new();
-
+        let mut fold = Fold::default();
         for e in events {
-            match e.kind {
-                EventKind::StageStart if e.stage == stages::ITERATION => {
-                    current = Some(IterationTelemetry {
-                        iteration: e.iteration.unwrap_or(0),
-                        status: "incomplete".into(),
-                        micros: 0,
-                        stages: Vec::new(),
-                        waterfall: Waterfall::default(),
-                    });
-                }
-                EventKind::StageEnd if e.stage == stages::ITERATION => {
-                    if let Some(mut it) = current.take() {
-                        it.micros = e.value;
-                        if !e.name.is_empty() {
-                            it.status = e.name.clone();
-                        }
-                        report.total_us += it.micros;
-                        report.iterations.push(it);
-                    }
-                }
-                EventKind::StageStart => {
-                    open.push(StageTelemetry { stage: e.stage.clone(), ..Default::default() });
-                }
-                EventKind::StageEnd => {
-                    if let Some(idx) = open.iter().rposition(|s| s.stage == e.stage) {
-                        let mut s = open.remove(idx);
-                        s.micros = e.value;
-                        match current.as_mut() {
-                            Some(it) => it.stages.push(s),
-                            None => {
-                                report.total_us += s.micros;
-                                report.setup.push(s);
-                            }
-                        }
-                    }
-                }
-                EventKind::Counter => {
-                    if let Some(s) = open.iter_mut().rev().find(|s| s.stage == e.stage) {
-                        match e.name.as_str() {
-                            "features_in" => s.features_in = e.value,
-                            "features_out" => s.features_out = e.value,
-                            _ => s.counters.push((e.name.clone(), e.value)),
-                        }
-                    }
-                }
-                EventKind::Gauge if e.stage == stages::WATERFALL => {
-                    if let Some(it) = current.as_mut() {
-                        let w = &mut it.waterfall;
-                        match e.name.as_str() {
-                            "generated" => w.generated = e.value,
-                            "candidates" => w.candidates = e.value,
-                            "post_iv" => w.post_iv = e.value,
-                            "post_redundancy" => w.post_redundancy = e.value,
-                            "selected" => w.selected = e.value,
-                            _ => {}
-                        }
-                    }
-                }
-                EventKind::Gauge => {}
-                // Observe events are sink-only histogram samples; they are
-                // folded into `metrics` below, never into counters.
-                EventKind::Observe => {}
-                EventKind::Warn => {
-                    report.warnings.push(WarnRecord {
-                        stage: e.stage.clone(),
-                        iteration: e.iteration,
-                        code: e.name.clone(),
-                        message: e.message.clone(),
-                    });
-                }
-            }
+            fold.apply(e);
         }
-        report.metrics = MetricsSnapshot::from_events(events);
-        report
+        RunReport {
+            metrics: MetricsSnapshot::from_events(events),
+            ..fold.report
+        }
     }
 
     /// Parse a report back from its [`RunReport::to_json`] document.
@@ -585,18 +520,122 @@ fn stage_json(s: &StageTelemetry) -> String {
     out
 }
 
-/// Write side: forwards instrumentation to the sink while accumulating the
-/// [`RunReport`] inline, so the report is available even under the
-/// (event-dropping) [`crate::sink::NullSink`].
+/// The one mapping from events to report entries. [`ReportBuilder`] folds
+/// every event it emits or receives; [`RunReport::from_events`] folds a
+/// recorded stream.
+#[derive(Default)]
+struct Fold {
+    /// Setup stages, closed iterations and warnings so far.
+    report: RunReport,
+    /// The open iteration, if any.
+    current: Option<IterationTelemetry>,
+    /// Stage spans opened and not yet closed, innermost last.
+    open: Vec<StageTelemetry>,
+}
+
+impl Fold {
+    fn apply(&mut self, e: &Event) {
+        // Checkpoint spans, counters and warnings are sink-only (DESIGN.md
+        // §13): the report a snapshot embeds must equal the uninterrupted
+        // run's, and a resumed run replays no checkpoint events.
+        if e.stage == stages::CHECKPOINT {
+            return;
+        }
+        match e.kind {
+            EventKind::StageStart if e.stage == stages::ITERATION => {
+                self.current = Some(IterationTelemetry {
+                    iteration: e.iteration.unwrap_or(0),
+                    status: "incomplete".into(),
+                    micros: 0,
+                    stages: Vec::new(),
+                    waterfall: Waterfall::default(),
+                });
+            }
+            EventKind::StageEnd if e.stage == stages::ITERATION => {
+                if let Some(mut it) = self.current.take() {
+                    it.micros = e.value;
+                    if !e.name.is_empty() {
+                        it.status = e.name.clone();
+                    }
+                    self.report.total_us += it.micros;
+                    self.report.iterations.push(it);
+                }
+            }
+            EventKind::StageStart => {
+                self.open.push(StageTelemetry {
+                    stage: e.stage.clone(),
+                    ..Default::default()
+                });
+            }
+            EventKind::StageEnd => {
+                if let Some(idx) = self.open.iter().rposition(|s| s.stage == e.stage) {
+                    let mut s = self.open.remove(idx);
+                    s.micros = e.value;
+                    match self.current.as_mut() {
+                        Some(it) => it.stages.push(s),
+                        None => {
+                            self.report.total_us += s.micros;
+                            self.report.setup.push(s);
+                        }
+                    }
+                }
+            }
+            EventKind::Counter => {
+                if let Some(s) = self.open.iter_mut().rev().find(|s| s.stage == e.stage) {
+                    match e.name.as_str() {
+                        "features_in" => s.features_in = e.value,
+                        "features_out" => s.features_out = e.value,
+                        _ => s.counters.push((e.name.clone(), e.value)),
+                    }
+                }
+            }
+            EventKind::Gauge if e.stage == stages::WATERFALL => {
+                if let Some(it) = self.current.as_mut() {
+                    let w = &mut it.waterfall;
+                    match e.name.as_str() {
+                        "generated" => w.generated = e.value,
+                        "candidates" => w.candidates = e.value,
+                        "post_iv" => w.post_iv = e.value,
+                        "post_redundancy" => w.post_redundancy = e.value,
+                        "selected" => w.selected = e.value,
+                        _ => {}
+                    }
+                }
+            }
+            EventKind::Gauge => {}
+            // Observe events are sink-only histogram samples, never
+            // counters.
+            EventKind::Observe => {}
+            EventKind::Warn => {
+                self.report.warnings.push(WarnRecord {
+                    stage: e.stage.clone(),
+                    iteration: e.iteration,
+                    code: e.name.clone(),
+                    message: e.message.clone(),
+                });
+            }
+        }
+    }
+}
+
+/// Write side: turns each report call into an [`Event`], forwards it to
+/// the configured sink when that sink is enabled, and always folds it into
+/// the report, so the report is available even under the (event-dropping)
+/// [`crate::sink::NullSink`].
+///
+/// The builder is itself an [`EventSink`]: callees that emit their own
+/// events (the booster, through [`StageGuard::sink`]) reach both the
+/// configured sink and the report through the same path.
 pub struct ReportBuilder<'a> {
     sink: &'a dyn EventSink,
     run_start: Instant,
     /// Wall-clock already spent in a prior run segment (checkpoint resume).
     prior_total_us: u64,
-    setup: Vec<StageTelemetry>,
-    iterations: Vec<IterationTelemetry>,
-    warnings: Vec<WarnRecord>,
-    current: Option<(IterationTelemetry, Instant)>,
+    /// The open iteration's index and start time.
+    current: Option<(usize, Instant)>,
+    /// The report so far. Behind a mutex because [`EventSink::record`]
+    /// takes `&self`.
+    fold: Mutex<Fold>,
     /// Latency histograms (+ alloc counters under `alloc-metrics`),
     /// snapshotted into `RunReport.metrics`. Recorded unconditionally —
     /// even under a disabled sink — because the report itself already
@@ -608,16 +647,7 @@ pub struct ReportBuilder<'a> {
 impl<'a> ReportBuilder<'a> {
     /// Start a run.
     pub fn new(sink: &'a dyn EventSink) -> ReportBuilder<'a> {
-        ReportBuilder {
-            sink,
-            run_start: Instant::now(),
-            prior_total_us: 0,
-            setup: Vec::new(),
-            iterations: Vec::new(),
-            warnings: Vec::new(),
-            current: None,
-            metrics: MetricsRegistry::new(),
-        }
+        ReportBuilder::resume(sink, RunReport::default())
     }
 
     /// Continue a run from a prior segment's report (checkpoint resume).
@@ -633,15 +663,27 @@ impl<'a> ReportBuilder<'a> {
             sink,
             run_start: Instant::now(),
             prior_total_us: prior.total_us,
-            setup: prior.setup,
-            iterations: prior.iterations,
-            warnings: prior.warnings,
             current: None,
+            fold: Mutex::new(Fold {
+                report: prior,
+                ..Fold::default()
+            }),
             // Metrics restart empty: checkpoints never persist them (they
             // are wall-clock distributions of *this process*), so a resumed
             // report's histograms cover only the post-resume segment.
             metrics: MetricsRegistry::new(),
         }
+    }
+
+    /// A poisoned lock still holds a consistent fold: `apply` never
+    /// panics, and each of its updates is a single push or field write.
+    fn fold(&self) -> MutexGuard<'_, Fold> {
+        self.fold.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The builder as a trait object, for the [`EventSink`] helpers.
+    fn events(&self) -> &dyn EventSink {
+        self
     }
 
     /// The report accumulated so far, without consuming the builder.
@@ -652,81 +694,55 @@ impl<'a> ReportBuilder<'a> {
     pub fn snapshot(&self) -> RunReport {
         RunReport {
             total_us: self.prior_total_us + self.run_start.elapsed().as_micros() as u64,
-            setup: self.setup.clone(),
-            iterations: self.iterations.clone(),
-            warnings: self.warnings.clone(),
             metrics: self.metrics.snapshot(),
+            ..self.fold().report.clone()
         }
-    }
-
-    /// The sink instrumentation forwards to (for callees that emit their
-    /// own events, e.g. the booster).
-    pub fn sink(&self) -> &'a dyn EventSink {
-        self.sink
     }
 
     /// Iteration currently open, if any.
     pub fn iteration(&self) -> Option<usize> {
-        self.current.as_ref().map(|(it, _)| it.iteration)
+        self.current.map(|(iteration, _)| iteration)
     }
 
     /// Open the framing span for one iteration.
     pub fn begin_iteration(&mut self, iteration: usize) {
-        self.sink.stage_start(stages::ITERATION, Some(iteration));
-        self.current = Some((
-            IterationTelemetry {
-                iteration,
-                status: "incomplete".into(),
-                micros: 0,
-                stages: Vec::new(),
-                waterfall: Waterfall::default(),
-            },
-            Instant::now(),
-        ));
+        self.events()
+            .stage_start(stages::ITERATION, Some(iteration));
+        self.current = Some((iteration, Instant::now()));
     }
 
     /// Record the feature-count waterfall for the open iteration.
     pub fn set_waterfall(&mut self, w: Waterfall) {
         let iteration = self.iteration();
-        if let Some((it, _)) = self.current.as_mut() {
-            it.waterfall = w;
+        for (name, value) in [
+            ("generated", w.generated),
+            ("candidates", w.candidates),
+            ("post_iv", w.post_iv),
+            ("post_redundancy", w.post_redundancy),
+            ("selected", w.selected),
+        ] {
+            self.events()
+                .gauge(stages::WATERFALL, iteration, name, value);
         }
-        self.sink.gauge(stages::WATERFALL, iteration, "generated", w.generated);
-        self.sink.gauge(stages::WATERFALL, iteration, "candidates", w.candidates);
-        self.sink.gauge(stages::WATERFALL, iteration, "post_iv", w.post_iv);
-        self.sink.gauge(stages::WATERFALL, iteration, "post_redundancy", w.post_redundancy);
-        self.sink.gauge(stages::WATERFALL, iteration, "selected", w.selected);
     }
 
     /// Record a structured warning (attributed to the open iteration when
     /// one exists).
     pub fn warn(&mut self, stage: &str, code: &str, message: &str) {
-        let iteration = self.iteration();
-        self.sink.warn(stage, iteration, code, message);
-        self.warnings.push(WarnRecord {
-            stage: stage.to_string(),
-            iteration,
-            code: code.to_string(),
-            message: message.to_string(),
-        });
+        self.events().warn(stage, self.iteration(), code, message);
     }
 
     /// Close the open iteration with the given status.
     pub fn end_iteration(&mut self, status: &str) {
-        if let Some((mut it, start)) = self.current.take() {
-            it.status = status.to_string();
-            it.micros = start.elapsed().as_micros() as u64;
-            self.metrics.observe("iteration_us", &[], it.micros);
-            // The stage_end's `name` carries the status so the report can
-            // be reassembled from events alone.
+        if let Some((iteration, start)) = self.current.take() {
+            let micros = start.elapsed().as_micros() as u64;
+            self.metrics.observe("iteration_us", &[], micros);
+            // The stage_end's `name` carries the status.
             let mut e = Event::new(EventKind::StageEnd, stages::ITERATION);
-            e.iteration = Some(it.iteration);
-            e.value = it.micros;
-            e.name = it.status.clone();
-            if self.sink.enabled() {
-                self.sink.record(&e);
-            }
-            self.iterations.push(it);
+            e.iteration = Some(iteration);
+            e.value = micros;
+            e.name = status.to_string();
+            self.record(&e);
         }
     }
 
@@ -734,11 +750,10 @@ impl<'a> ReportBuilder<'a> {
     /// exits still balance), recording the duration in integer
     /// microseconds.
     pub fn stage<'b>(&'b mut self, name: &str) -> StageGuard<'b, 'a> {
-        let iteration = self.iteration();
-        self.sink.stage_start(name, iteration);
+        self.events().stage_start(name, self.iteration());
         StageGuard {
             builder: self,
-            telemetry: StageTelemetry { stage: name.to_string(), ..Default::default() },
+            stage: name.to_string(),
             start: Instant::now(),
             alloc_start: alloc_snapshot(),
         }
@@ -748,30 +763,44 @@ impl<'a> ReportBuilder<'a> {
     pub fn finish(mut self) -> RunReport {
         self.end_iteration("incomplete"); // no-op unless a span was left open
         self.sink.flush();
-        RunReport {
-            total_us: self.prior_total_us + self.run_start.elapsed().as_micros() as u64,
-            setup: self.setup,
-            iterations: self.iterations,
-            warnings: self.warnings,
-            metrics: self.metrics.snapshot(),
-        }
+        self.snapshot()
     }
 }
 
-/// Open span over one pipeline stage. Counters recorded through the guard
-/// land both in the sink's event stream and in the assembled report.
+impl EventSink for ReportBuilder<'_> {
+    /// Always on: every event feeds the report, whatever the sink.
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&self, event: &Event) {
+        if self.sink.enabled() {
+            self.sink.record(event);
+        }
+        self.fold().apply(event);
+    }
+
+    fn flush(&self) {
+        self.sink.flush();
+    }
+}
+
+/// Open span over one pipeline stage. Counters recorded through the guard,
+/// or by a callee through [`StageGuard::sink`], land both in the sink's
+/// event stream and in the assembled report.
 pub struct StageGuard<'b, 'a> {
     builder: &'b mut ReportBuilder<'a>,
-    telemetry: StageTelemetry,
+    stage: String,
     start: Instant,
     alloc_start: AllocSnapshot,
 }
 
-impl<'b, 'a> StageGuard<'b, 'a> {
-    /// The underlying sink, for callees that emit events directly (their
-    /// counters should then be [`StageGuard::absorb`]ed, not re-emitted).
-    pub fn sink(&self) -> &'a dyn EventSink {
-        self.builder.sink
+impl StageGuard<'_, '_> {
+    /// The builder as an event sink, for callees that emit their own
+    /// counters (the booster): what they emit under this stage's name
+    /// reaches the report and the configured sink.
+    pub fn sink(&self) -> &dyn EventSink {
+        self.builder.events()
     }
 
     /// Iteration this stage belongs to, if inside one.
@@ -781,56 +810,33 @@ impl<'b, 'a> StageGuard<'b, 'a> {
 
     /// Record a counter: into the report and out through the sink.
     pub fn counter(&mut self, name: &str, value: u64) {
-        let iteration = self.builder.iteration();
-        self.builder
-            .sink
-            .counter(&self.telemetry.stage, iteration, name, value);
-        self.telemetry.counters.push((name.to_string(), value));
-    }
-
-    /// Record a counter in the report only — for values a callee already
-    /// emitted through [`StageGuard::sink`].
-    pub fn absorb(&mut self, name: &str, value: u64) {
-        self.telemetry.counters.push((name.to_string(), value));
+        self.sink()
+            .counter(&self.stage, self.iteration(), name, value);
     }
 
     /// Record the stage's in/out item counts.
     pub fn set_flow(&mut self, features_in: u64, features_out: u64) {
-        let iteration = self.builder.iteration();
-        self.builder
-            .sink
-            .counter(&self.telemetry.stage, iteration, "features_in", features_in);
-        self.builder
-            .sink
-            .counter(&self.telemetry.stage, iteration, "features_out", features_out);
-        self.telemetry.features_in = features_in;
-        self.telemetry.features_out = features_out;
+        self.counter("features_in", features_in);
+        self.counter("features_out", features_out);
     }
 }
 
 impl Drop for StageGuard<'_, '_> {
     fn drop(&mut self) {
-        let mut telemetry = std::mem::take(&mut self.telemetry);
-        telemetry.micros = self.start.elapsed().as_micros() as u64;
-        let iteration = self.builder.iteration();
-        self.builder
-            .sink
-            .stage_end(&telemetry.stage, iteration, telemetry.micros);
-        self.builder
-            .metrics
-            .observe("stage_us", &[("stage", &telemetry.stage)], telemetry.micros);
+        let micros = self.start.elapsed().as_micros() as u64;
+        self.sink().stage_end(&self.stage, self.iteration(), micros);
+        let metrics = &self.builder.metrics;
+        let labels = &[("stage", self.stage.as_str())];
+        metrics.observe("stage_us", labels, micros);
         if alloc_metrics_enabled() {
             let delta = alloc_snapshot().since(&self.alloc_start);
-            let labels: &[(&str, &str)] = &[("stage", &telemetry.stage)];
-            self.builder.metrics.counter_add("alloc_allocs", labels, delta.allocs);
-            self.builder.metrics.counter_add("alloc_bytes", labels, delta.bytes);
-            self.builder
-                .metrics
-                .gauge_set("alloc_peak_bytes", &[], delta.peak.min(i64::MAX as u64) as i64);
-        }
-        match self.builder.current.as_mut() {
-            Some((it, _)) => it.stages.push(telemetry),
-            None => self.builder.setup.push(telemetry),
+            metrics.counter_add("alloc_allocs", labels, delta.allocs);
+            metrics.counter_add("alloc_bytes", labels, delta.bytes);
+            metrics.gauge_set(
+                "alloc_peak_bytes",
+                &[],
+                delta.peak.min(i64::MAX as u64) as i64,
+            );
         }
     }
 }

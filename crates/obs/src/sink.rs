@@ -200,7 +200,7 @@ impl dyn EventSink + '_ {
 
     /// Emit a histogram observation (`observe` event). Sink-only by
     /// contract: replayed into [`crate::metrics::MetricsSnapshot`] via
-    /// `from_events`, never absorbed into report counters.
+    /// `from_events`, never folded into report counters.
     pub fn observe(&self, stage: &str, iteration: Option<usize>, name: &str, value: u64) {
         if !self.enabled() {
             return;
@@ -253,11 +253,6 @@ impl JsonlSink {
     pub fn to_file(path: &str) -> std::io::Result<JsonlSink> {
         let f = std::fs::File::create(path)?;
         Ok(JsonlSink::new(Box::new(std::io::BufWriter::new(f))))
-    }
-
-    /// Stream events to stderr (useful for live tracing).
-    pub fn to_stderr() -> JsonlSink {
-        JsonlSink::new(Box::new(std::io::stderr()))
     }
 }
 

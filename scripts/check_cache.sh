@@ -1,10 +1,8 @@
 #!/usr/bin/env sh
 # Verify the cross-iteration cache contract (DESIGN.md section 12): cached
-# runs (bin cache + histogram subtraction) must be
-# bit-identical to cold `cache: false` runs on every dataset shape and
-# thread budget the differential suite covers, the incremental
-# `BinnedDataset::extend_with` path must equal a fresh fit of the
-# concatenated matrix, and warm iterations must actually reuse cached
+# runs (bin cache + histogram subtraction) must be bit-identical to cold
+# `cache: false` runs on every dataset shape and thread budget the
+# differential suite covers, and warm iterations must actually reuse cached
 # columns (telemetry hit counters).
 #
 # Usage: scripts/check_cache.sh

@@ -8,15 +8,11 @@
 //! a funnel count, not a downstream AUC. These tests pin that contract (see
 //! `DESIGN.md` §12).
 
-use proptest::prelude::*;
-
 use safe::core::{Safe, SafeConfig, SafeOutcome};
 use safe::data::split::train_test_split;
 use safe::data::Dataset;
 use safe::datagen::synth::{generate, SyntheticConfig};
-use safe::gbm::binner::BinnedDataset;
 use safe::models::classifier::{evaluate_auc, ClassifierKind};
-use safe::stats::par::Parallelism;
 
 /// Thread budgets under test: the caches must be transparent in serial and
 /// parallel runs alike.
@@ -186,66 +182,4 @@ fn warm_iterations_reuse_binned_columns() {
         None,
         "cold run must not emit cache counters"
     );
-}
-
-fn assert_binned_eq(a: &BinnedDataset, b: &BinnedDataset) {
-    assert_eq!(a.n_features(), b.n_features());
-    assert_eq!(a.n_rows(), b.n_rows());
-    for f in 0..a.n_features() {
-        assert_eq!(a.bins(f), b.bins(f), "bin column {f} differs");
-        assert_eq!(a.mapper(f).n_value_bins(), b.mapper(f).n_value_bins(), "mapper {f} differs");
-        for s in 0..a.mapper(f).n_split_candidates() as u16 {
-            assert_eq!(
-                a.mapper(f).threshold(s).to_bits(),
-                b.mapper(f).threshold(s).to_bits(),
-                "threshold {s} of feature {f} differs"
-            );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Incremental binning contract: for any column values (including NaN),
-    /// any base/extension split, and any bin budget, `extend_with` on a
-    /// fitted `BinnedDataset` equals a fresh fit of the concatenated matrix
-    /// — same bins, same mappers, same thresholds to the bit.
-    #[test]
-    fn extend_with_matches_fresh_fit_of_concatenation(
-        vals in prop::collection::vec(-1e3f64..1e3, 24..160),
-        split_at in 1usize..4,
-        max_bins in 4usize..64,
-    ) {
-        const N_COLS: usize = 4;
-        let n_rows = vals.len() / N_COLS;
-        let columns: Vec<Vec<f64>> = (0..N_COLS)
-            .map(|c| {
-                vals[c * n_rows..(c + 1) * n_rows]
-                    .iter()
-                    // Carve a NaN band out of the value range so missing
-                    // values participate in most cases.
-                    .map(|&v| if v > 900.0 { f64::NAN } else { v })
-                    .collect()
-            })
-            .collect();
-        let names: Vec<String> = (0..N_COLS).map(|c| format!("col{c}")).collect();
-
-        let base = Dataset::from_columns(
-            names[..split_at].to_vec(),
-            columns[..split_at].to_vec(),
-            None,
-        ).unwrap();
-        let extra = Dataset::from_columns(
-            names[split_at..].to_vec(),
-            columns[split_at..].to_vec(),
-            None,
-        ).unwrap();
-        let concat = Dataset::from_columns(names.clone(), columns.clone(), None).unwrap();
-
-        let mut incremental = BinnedDataset::fit(&base, max_bins, Parallelism::auto());
-        incremental.extend_with(&extra, Parallelism::auto()).unwrap();
-        let fresh = BinnedDataset::fit(&concat, max_bins, Parallelism::auto());
-        assert_binned_eq(&incremental, &fresh);
-    }
 }
