@@ -412,8 +412,10 @@ mod streaming_tests {
     /// Bit-level comparison of a streamed chunked ingest against the
     /// resident reader: same shape, names, labels, and per-column value
     /// bits (NaN == NaN at the bit level, which `PartialEq` can't see).
-    fn assert_ingest_identical(text: &str, label: Option<&str>, opts: ChunkOptions) {
-        let path = tmp_csv("ingest.csv", text);
+    /// `file` names the temp CSV; tests run in parallel, so each passes its
+    /// own.
+    fn assert_ingest_identical(file: &str, text: &str, label: Option<&str>, opts: ChunkOptions) {
+        let path = tmp_csv(file, text);
         let resident = read_csv(&path, label).unwrap();
         let chunked = read_csv_chunked(&path, label, opts).unwrap();
         assert_eq!(chunked.n_rows(), resident.n_rows());
@@ -433,19 +435,19 @@ mod streaming_tests {
     #[test]
     fn streamed_ingest_matches_resident_reader() {
         let text = "a,b,label\n1.0,2.5,0\n3,4,1\n-0.125,9e3,0\n0.1,0.2,1\n7,8,0\n";
-        assert_ingest_identical(text, Some("label"), ChunkOptions::in_memory(2));
+        assert_ingest_identical("matches.csv", text, Some("label"), ChunkOptions::in_memory(2));
     }
 
     #[test]
     fn streamed_ingest_handles_nan_and_missing_cells() {
         let text = "a,b\n1,\nNA,2\nnan,3\n,\n5,NaN\n";
-        assert_ingest_identical(text, None, ChunkOptions::in_memory(2));
+        assert_ingest_identical("nan.csv", text, None, ChunkOptions::in_memory(2));
     }
 
     #[test]
     fn streamed_ingest_handles_crlf_endings() {
         let text = "a,b,label\r\n1,2,0\r\n3,,1\r\nNA,4,0\r\n";
-        assert_ingest_identical(text, Some("label"), ChunkOptions::in_memory(2));
+        assert_ingest_identical("crlf.csv", text, Some("label"), ChunkOptions::in_memory(2));
     }
 
     #[test]
@@ -456,7 +458,8 @@ mod streaming_tests {
         for i in 0..100 {
             text.push_str(&format!("{},{},{}\n", i, (i * 7 % 13) as f64 * 0.5, i % 2));
         }
-        assert_ingest_identical(&text, Some("label"), ChunkOptions::spilled(8, 2, &spill));
+        let opts = ChunkOptions::spilled(8, 2, &spill);
+        assert_ingest_identical("spill.csv", &text, Some("label"), opts);
     }
 
     #[test]

@@ -188,9 +188,9 @@ pub struct BinnedDataset {
 
 impl BinnedDataset {
     /// Quantize every feature of a dataset. Mapper fitting and column
-    /// quantization run across up to `par.resolve()` scoped threads;
-    /// per-feature results are merged in column order, so the matrix is
-    /// identical for any thread count.
+    /// quantization run on up to `par.resolve()` threads (the caller plus
+    /// `safe_stats::par` pool workers); per-feature results are merged in
+    /// column order, so the matrix is identical for any thread count.
     pub fn fit(ds: &Dataset, max_bins: usize, par: Parallelism) -> BinnedDataset {
         let mut out = BinnedDataset {
             columns: Vec::new(),

@@ -5,8 +5,11 @@
 //! after an in-place partition of the node's rows only the *smaller* child's
 //! histograms are accumulated from rows (`O(child_rows × features)`); the
 //! larger child's are derived as `parent − smaller` (`O(bins × features)`).
+//! Both happen in one parallel pass over the features per split node.
 //! [`GrowStats`] tracks how often each path ran (`histogram_builds` vs
 //! `histogram_subtractions`).
+
+use std::sync::{Mutex, PoisonError};
 
 use crate::binner::BinnedDataset;
 use crate::config::GbmConfig;
@@ -26,10 +29,12 @@ pub struct GrowStats {
     pub histogram_subtractions: u64,
     /// Nodes (internal + leaf) created at each depth; index = depth.
     pub nodes_per_depth: Vec<u64>,
-    /// Wall-clock microseconds spent accumulating histograms from rows
-    /// (the `histogram_builds` path). Timing telemetry only: never compared
-    /// across runs and never folded into report counters — it feeds the
-    /// sink-only `gbm_hist_build_us` observe stream.
+    /// Wall-clock microseconds spent in histogram passes: the root's
+    /// accumulation from rows, and each split node's fused pass that
+    /// accumulates the smaller child and subtracts it from the parent.
+    /// Timing telemetry only: never compared across runs and never folded
+    /// into report counters — it feeds the sink-only `gbm_hist_build_us`
+    /// observe stream.
     pub hist_build_us: u64,
 }
 
@@ -187,10 +192,12 @@ fn build_node(
     }
 }
 
-/// Histograms for the two children of a just-split node: accumulate the
-/// smaller child from its rows, derive the larger by subtracting it from the
-/// parent's histograms (consumed). Children that cannot split get empty
-/// histogram sets and cost nothing.
+/// Histograms for the two children of a just-split node, in one parallel
+/// pass over the features: each feature's smaller-child histogram is
+/// accumulated from its rows and, when the larger child can split,
+/// subtracted from the parent's histogram in place (the parent is
+/// consumed). Children that cannot split get empty histogram sets and
+/// cost nothing.
 #[allow(clippy::too_many_arguments)]
 fn child_histograms(
     binned: &BinnedDataset,
@@ -212,18 +219,42 @@ fn child_histograms(
     } else {
         (right_rows, right_needs, left_needs)
     };
-
-    let mut small = Vec::new();
-    let mut large = Vec::new();
-    if small_needs || large_needs {
-        small = build_feature_histograms(binned, small_rows, grads, hesss, features, config, stats);
-        if large_needs {
-            large = subtract_histograms(parent, &small, stats);
-        }
-        if !small_needs {
-            small = Vec::new();
-        }
+    if !small_needs && !large_needs {
+        return (Vec::new(), Vec::new());
     }
+
+    // Each parent histogram is taken exactly once, by the chunk that owns
+    // its feature; a guard is held only for that `take`.
+    let parent: Vec<Mutex<Option<Vec<HistBin>>>> = if large_needs {
+        parent.into_iter().map(Mutex::new).collect()
+    } else {
+        Vec::new()
+    };
+    stats.histogram_builds += count_histogrammed(binned, features);
+    let t0 = std::time::Instant::now();
+    let pairs = safe_stats::par::par_map(config.parallelism, features.len(), |i| {
+        let f = features[i];
+        let mapper = binned.mapper(f);
+        if mapper.n_split_candidates() == 0 {
+            return (None, None);
+        }
+        let small = build_histogram(binned.bins(f), small_rows, grads, hesss, mapper.n_bins());
+        let large = parent
+            .get(i)
+            .and_then(|p| p.lock().unwrap_or_else(PoisonError::into_inner).take())
+            .map(|mut p| {
+                subtract_sibling(&mut p, &small);
+                p
+            });
+        (small_needs.then_some(small), large)
+    });
+    stats.hist_build_us += t0.elapsed().as_micros() as u64;
+    let (small, large): (NodeHistograms, NodeHistograms) = pairs.into_iter().unzip();
+    // None-ness is a pure function of the mapper, so parent and child
+    // entries align: every smaller-child histogram had a parent one.
+    stats.histogram_subtractions += large.iter().flatten().count() as u64;
+    let small = if small_needs { small } else { Vec::new() };
+    let large = if large_needs { large } else { Vec::new() };
     if smaller_is_left {
         (small, large)
     } else {
@@ -242,12 +273,7 @@ fn build_feature_histograms(
     config: &GbmConfig,
     stats: &mut GrowStats,
 ) -> NodeHistograms {
-    // Counted serially before the parallel map so no atomics are needed:
-    // exactly the features with split candidates get a histogram below.
-    stats.histogram_builds += features
-        .iter()
-        .filter(|&&f| binned.mapper(f).n_split_candidates() > 0)
-        .count() as u64;
+    stats.histogram_builds += count_histogrammed(binned, features);
     let t0 = std::time::Instant::now();
     let histograms = safe_stats::par::par_map_slice(config.parallelism, features, |&f| {
         let mapper = binned.mapper(f);
@@ -260,30 +286,19 @@ fn build_feature_histograms(
     histograms
 }
 
-/// `parent − child` per feature, in place on the parent's storage.
-fn subtract_histograms(
-    mut parent: NodeHistograms,
-    child: &NodeHistograms,
-    stats: &mut GrowStats,
-) -> NodeHistograms {
-    for (p, c) in parent.iter_mut().zip(child) {
-        match (p.as_mut(), c) {
-            (Some(p), Some(c)) => {
-                subtract_sibling(p, c);
-                stats.histogram_subtractions += 1;
-            }
-            // None-ness is a pure function of the mapper, so parent and
-            // child entries always align; nothing to subtract otherwise.
-            _ => {}
-        }
-    }
-    parent
+/// How many of `features` get a histogram: those with split candidates.
+/// Counted serially before a parallel pass, so no atomics are needed.
+fn count_histogrammed(binned: &BinnedDataset, features: &[usize]) -> u64 {
+    features
+        .iter()
+        .filter(|&&f| binned.mapper(f).n_split_candidates() > 0)
+        .count() as u64
 }
 
 /// Best split across the candidate features from the node's prebuilt
-/// histograms; the scan runs in parallel across features and ties resolve
-/// to the first feature in candidate order (deterministic for any thread
-/// count).
+/// histograms; the scan runs in parallel across features. Ties resolve to
+/// the *last* of the equal-gain features in candidate order
+/// (`Iterator::max_by` keeps the last maximum), for any thread count.
 fn find_best_split(
     binned: &BinnedDataset,
     hists: &NodeHistograms,
@@ -509,6 +524,33 @@ mod tests {
         assert!(tree.depth() >= 2, "need internal structure for this test");
         assert!(stats.histogram_subtractions > 0, "{stats:?}");
         assert!(stats.histogram_builds > 0, "{stats:?}");
+    }
+
+    #[test]
+    fn equal_gain_ties_go_to_the_later_feature() {
+        // Features 3 and 12 are the same informative column; the other 14
+        // are constant. With 16 candidates, threads = 2 puts the two in
+        // different chunks.
+        let x: Vec<f64> = (0..100).map(|i| i as f64).collect();
+        let labels: Vec<u8> = (0..100).map(|i| (i >= 50) as u8).collect();
+        let cols: Vec<Vec<f64>> = (0..16)
+            .map(|f| if f == 3 || f == 12 { x.clone() } else { vec![1.0; 100] })
+            .collect();
+        let binned = binned_of(cols);
+        let (g, h) = grads_for(&labels);
+        let features: Vec<usize> = (0..16).collect();
+        for threads in [1, 2] {
+            let config = GbmConfig {
+                max_depth: 1,
+                parallelism: Parallelism::new(threads),
+                ..GbmConfig::default()
+            };
+            let tree = grow_tree(&binned, &g, &h, (0..100).collect(), &features, &config);
+            match tree.nodes[0] {
+                TreeNode::Internal { feature, .. } => assert_eq!(feature, 12, "threads={threads}"),
+                TreeNode::Leaf { .. } => panic!("root must split (threads={threads})"),
+            }
+        }
     }
 
     #[test]

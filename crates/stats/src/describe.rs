@@ -1,6 +1,8 @@
 //! Column summary statistics used by operators (normalization) and data
 //! generators: mean, variance, min/max, quantiles — all NaN-aware.
 
+use std::cmp::Ordering;
+
 /// Summary of one numeric column (missing values excluded).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnSummary {
@@ -58,7 +60,7 @@ pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
     if clean.is_empty() {
         return None;
     }
-    clean.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    clean.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
     let pos = q * (clean.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;

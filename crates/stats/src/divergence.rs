@@ -6,6 +6,8 @@
 //! feature-occurrence distribution against the ideal one (every run emits the
 //! same 2M features, each appearing T times) via JSD. Lower is more stable.
 
+use std::cmp::Ordering;
+
 /// KL divergence `Σ p ln(p/q)` over two distributions given as histograms.
 /// Both inputs are normalized internally; cells where `p = 0` contribute 0.
 /// Returns `f64::INFINITY` when some `p > 0` has `q = 0`.
@@ -56,7 +58,7 @@ pub fn stability_score(occurrences: &[usize], per_run: usize, t_runs: usize) -> 
         "at least one feature must have been generated"
     );
     let mut actual: Vec<f64> = occurrences.iter().map(|&c| c as f64).collect();
-    actual.sort_by(|a, b| b.partial_cmp(a).unwrap());
+    actual.sort_by(|a, b| b.partial_cmp(a).unwrap_or(Ordering::Equal));
     let mut ideal: Vec<f64> = vec![t_runs as f64; per_run];
     // Align supports by zero-padding the shorter list. JSD stays finite
     // because the mixture R is positive wherever either side is.

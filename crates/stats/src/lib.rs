@@ -13,14 +13,17 @@
 //!   of Table VI,
 //! - [`chi`] — chi-square statistic backing the ChiMerge discretizer,
 //! - [`describe`] — means, variances, quantiles,
-//! - [`par`](mod@par) — the configurable `std::thread::scope` execution
-//!   layer ([`Parallelism`] knob, fixed-order chunk merging, panic capture)
-//!   used to parallelize per-column IV and per-pair Pearson work (the
-//!   paper's "distributed computing" requirement, realized as thread
-//!   parallelism). Every caller passes its own explicit [`Parallelism`];
-//!   there is no implicit auto-parallel wrapper.
+//! - [`par`](mod@par) — the configurable parallel execution layer
+//!   ([`Parallelism`] knob, fixed-order chunk merging, panic capture) over
+//!   a persistent pool of parked `std` worker threads, used to parallelize
+//!   histogram building, split finding, per-column IV and per-pair Pearson
+//!   work (the paper's "distributed computing" requirement, realized as
+//!   thread parallelism). Every caller passes its own explicit
+//!   [`Parallelism`]; there is no implicit auto-parallel wrapper.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod auc;
 pub mod chi;

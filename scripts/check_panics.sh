@@ -2,7 +2,7 @@
 # Fail if any hardened crate's library code reintroduces unwrap()/expect().
 #
 # The hardened crates (safe-data, safe-gbm, safe-ops, safe-core, safe-obs,
-# safe-serve) carry
+# safe-serve, safe-stats) carry
 # `#![warn(clippy::unwrap_used, clippy::expect_used)]`; this script promotes
 # those warnings to errors so CI can gate on them. Tests are exempt — each
 # crate allows the lints under #[cfg(test)].
@@ -20,7 +20,7 @@ fi
 
 cargo clippy \
     -p safe-data -p safe-gbm -p safe-ops -p safe-core -p safe-obs \
-    -p safe-serve \
+    -p safe-serve -p safe-stats \
     --no-deps --lib --quiet -- \
     -D clippy::unwrap_used \
     -D clippy::expect_used

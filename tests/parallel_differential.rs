@@ -8,6 +8,8 @@
 //! every downstream AUC. These tests pin that contract (see `DESIGN.md`,
 //! "Parallel execution & determinism contract").
 
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+
 use proptest::prelude::*;
 
 use safe::core::{Safe, SafeConfig, SafeOutcome};
@@ -20,6 +22,16 @@ use safe::stats::par::{par_map, try_par_map, Parallelism};
 /// Thread budgets under test: serial, even splits, and a prime that does
 /// not divide most item counts (exercises ragged chunk boundaries).
 const THREADS: [usize; 4] = [1, 2, 4, 7];
+
+/// The failpoint registry is process-global, and the test harness runs this
+/// file's tests on parallel threads. Every test that fits holds a read
+/// guard; the failpoint test holds the write guard while a point is armed,
+/// so no differential fit can take its injected panic.
+static FAILPOINTS: RwLock<()> = RwLock::new(());
+
+fn no_armed_failpoints() -> RwLockReadGuard<'static, ()> {
+    FAILPOINTS.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Interaction-heavy synthetic data: the shape SAFE's generation stage is
 /// built for, so the pipeline completes with a non-trivial funnel.
@@ -103,6 +115,7 @@ fn per_iteration_aucs(data: &Dataset, outcome: &SafeOutcome) -> Vec<u64> {
 /// plan bytes, per-iteration snapshots, funnel history, run report, and
 /// downstream AUC bits — matches the serial baseline exactly.
 fn assert_differential(name: &str, data: &Dataset) {
+    let _failpoints = no_armed_failpoints();
     let baseline = fit_with_threads(data, THREADS[0]);
     let baseline_aucs = per_iteration_aucs(data, &baseline);
     assert!(
@@ -159,6 +172,7 @@ fn degenerate_runs_are_bit_identical_across_thread_counts() {
 /// observable either (the resolved budget only shapes chunk boundaries).
 #[test]
 fn heavy_oversubscription_matches_serial() {
+    let _failpoints = no_armed_failpoints();
     let data = interaction_dataset();
     let a = fit_with_threads(&data, 1);
     let b = fit_with_threads(&data, 64);
@@ -216,6 +230,7 @@ mod failpoint_differential {
 
     #[test]
     fn injected_worker_panic_degrades_instead_of_hanging() {
+        let _exclusive = FAILPOINTS.write().unwrap_or_else(PoisonError::into_inner);
         failpoints::disarm_all();
         failpoints::arm("select/iv-worker-panic");
         let data = interaction_dataset();
