@@ -21,6 +21,9 @@
 //! CODES` section of `safe-cli help`). Errors print their full cause
 //! chain, one `caused by:` line per nested source.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
 use std::process::ExitCode;
 
 mod args;

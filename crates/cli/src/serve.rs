@@ -544,6 +544,7 @@ mod tests {
     #[test]
     fn parse_request_rejects_garbage_with_reasons() {
         assert!(parse_request("not json").unwrap_err().contains("invalid JSON"));
+        assert!(parse_request(&"[".repeat(200_000)).unwrap_err().contains("invalid JSON"));
         assert!(parse_request("[1,2]").unwrap_err().contains("object"));
         assert!(parse_request("{}").unwrap_err().contains("values"));
         assert!(parse_request(r#"{"values":"x"}"#).unwrap_err().contains("array"));

@@ -26,13 +26,12 @@
 //! good checkpoint. Only when checkpoint files exist but none loads does
 //! resume become an error.
 //!
-//! The codec reuses the workspace's durable-text idioms from the
-//! `SAFEARTIFACT` serving bundle: a version header, a `CHECKSUM` line
-//! ([`safe_data::checksum::fnv1a64`] over the body), tab-separated records,
-//! floats as 16-hex-digit IEEE-754 bit patterns. Unlike the artifact, no
-//! `SAFEGBM` booster section is embedded: the miner/ranker boosters are
-//! per-iteration ephemera, retrained from scratch each iteration, so a
-//! resumed run rebuilds them bit-identically from the data.
+//! The codec is a schema over [`safe_data::record`], like the `SAFEARTIFACT`
+//! serving bundle: a version header, a `CHECKSUM` line, tab-separated
+//! records, hex `f64` bit patterns, and embedded plan and report sections.
+//! Unlike the artifact, no `SAFEGBM` booster section is embedded: the
+//! miner/ranker boosters are per-iteration ephemera, retrained from scratch
+//! each iteration, so a resumed run rebuilds them bit-identically.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -40,7 +39,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use safe_data::checksum::fnv1a64;
+use safe_data::record::{hex, seal, Reader, Record, RecordError};
 use safe_obs::RunReport;
 
 use crate::config::{GenerationStrategy, SafeConfig, SelectionMode};
@@ -256,6 +255,15 @@ impl From<std::io::Error> for CkptError {
     }
 }
 
+impl From<RecordError> for CkptError {
+    fn from(e: RecordError) -> Self {
+        match e {
+            RecordError::Checksum { expected, actual } => CkptError::Checksum { expected, actual },
+            RecordError::Parse { line, message } => CkptError::Parse { line, message },
+        }
+    }
+}
+
 /// Escape a free-form string (degradation reasons) for a tab-separated
 /// record: `\` `\t` `\n` `\r` become two-character escapes.
 fn escape(s: &str) -> String {
@@ -307,12 +315,7 @@ impl Checkpoint {
     /// Serialize to the versioned `SAFECKPT 1` text codec: a header line, a
     /// `CHECKSUM` line (FNV-1a/64 of everything after it), then the body.
     pub fn to_text(&self) -> String {
-        let body = self.body();
-        format!(
-            "SAFECKPT\t1\nCHECKSUM\t{:016x}\n{}",
-            fnv1a64(body.as_bytes()),
-            body
-        )
+        seal("SAFECKPT\t1", &self.body())
     }
 
     fn body(&self) -> String {
@@ -320,9 +323,9 @@ impl Checkpoint {
         let f = &self.fingerprint;
         let _ = writeln!(out, "CONFIG\tseed\t{}", f.seed);
         let _ = writeln!(out, "CONFIG\tgamma\t{}", f.gamma);
-        let _ = writeln!(out, "CONFIG\talpha\t{:016x}", f.alpha.to_bits());
+        let _ = writeln!(out, "CONFIG\talpha\t{}", hex(f.alpha));
         let _ = writeln!(out, "CONFIG\tbeta\t{}", f.beta);
-        let _ = writeln!(out, "CONFIG\ttheta\t{:016x}", f.theta.to_bits());
+        let _ = writeln!(out, "CONFIG\ttheta\t{}", hex(f.theta));
         let _ = writeln!(out, "CONFIG\tmultiplier\t{}", f.output_multiplier);
         let _ = writeln!(out, "CONFIG\tn_iterations\t{}", f.n_iterations);
         let _ = writeln!(out, "CONFIG\tstrategy\t{}", strategy_str(f.strategy));
@@ -385,217 +388,129 @@ impl Checkpoint {
     /// interpreted, so a torn or bit-flipped file fails closed with
     /// [`CkptError::Checksum`].
     pub fn from_text(text: &str) -> Result<Checkpoint, CkptError> {
-        let mut parts = text.splitn(3, '\n');
-        let header = parts.next().unwrap_or("");
-        if header != "SAFECKPT\t1" {
-            return Err(CkptError::Parse {
-                line: 1,
-                message: "bad header (expected SAFECKPT v1)".into(),
-            });
-        }
-        let checksum_line = parts.next().ok_or(CkptError::Parse {
-            line: 2,
-            message: "missing CHECKSUM line".into(),
-        })?;
-        let expected = checksum_line
-            .strip_prefix("CHECKSUM\t")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or(CkptError::Parse {
-                line: 2,
-                message: "bad CHECKSUM line".into(),
-            })?;
-        let body = parts.next().unwrap_or("");
-        let actual = fnv1a64(body.as_bytes());
-        if actual != expected {
-            return Err(CkptError::Checksum { expected, actual });
-        }
-        Self::parse_body(body)
-    }
+        let mut r = Reader::open_checked(text, "SAFECKPT\t1")?;
+        let mut cfg: Vec<(&str, Record)> = Vec::new();
+        let (mut iterations_done, mut terminal, mut elapsed_us) = (None, None, None);
+        let mut report = None;
+        let (mut history, mut plans) = (Vec::new(), Vec::new());
+        let (mut have_status, mut have_selected) = (Vec::new(), Vec::new());
 
-    fn parse_body(body: &str) -> Result<Checkpoint, CkptError> {
-        // Line numbers are offset by the 2 header lines for error messages.
-        let err = |line: usize, message: String| CkptError::Parse { line: line + 3, message };
-
-        let mut fingerprint: Option<ConfigFingerprint> = None;
-        let mut cfg: Vec<(String, String)> = Vec::new();
-        let mut iterations_done: Option<usize> = None;
-        let mut terminal: Option<Terminal> = None;
-        let mut elapsed_us: Option<u64> = None;
-        let mut history: Vec<IterationReport> = Vec::new();
-        let mut plans: Vec<FeaturePlan> = Vec::new();
-        let mut have_status: Vec<bool> = Vec::new();
-        let mut have_selected: Vec<bool> = Vec::new();
-        let mut report: Option<RunReport> = None;
-
-        // Section accumulation for the PLAN / REPORT blocks.
-        let mut section: Option<(&str, usize, String)> = None;
-
-        for (i, line) in body.lines().enumerate() {
-            if let Some((kind, start, acc)) = section.as_mut() {
-                match (*kind, line) {
-                    ("plan", "PLAN_END") => {
-                        let plan = FeaturePlan::from_text(acc)
-                            .map_err(|e| err(*start, format!("embedded plan: {e}")))?;
-                        plans.push(plan);
-                        section = None;
-                    }
-                    ("report", "REPORT_END") => {
-                        report = Some(
-                            RunReport::from_json(acc)
-                                .map_err(|e| err(*start, format!("embedded report: {e}")))?,
-                        );
-                        section = None;
-                    }
-                    _ => {
-                        acc.push_str(line);
-                        acc.push('\n');
-                    }
+        while let Some(mut rec) = r.next() {
+            match rec.tag {
+                // Read once all records are in: lookup by key keeps the
+                // format order-insensitive.
+                "CONFIG" => {
+                    cfg.push((rec.field()?, rec.clone()));
+                    rec.field()?;
                 }
-                continue;
-            }
-            if line.is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = line.split('\t').collect();
-            match fields[0] {
-                "CONFIG" if fields.len() == 3 => {
-                    cfg.push((fields[1].to_string(), fields[2].to_string()));
-                }
-                "STATE" if fields.len() == 3 => match fields[1] {
-                    "iterations_done" => {
-                        iterations_done =
-                            Some(fields[2].parse().map_err(|_| {
-                                err(i, "bad iterations_done".into())
-                            })?);
-                    }
+                "STATE" => match rec.field()? {
+                    "iterations_done" => iterations_done = Some(rec.parse()?),
                     "terminal" => {
-                        terminal = Some(Terminal::parse(fields[2]).ok_or_else(|| {
-                            err(i, format!("unknown terminal '{}'", fields[2]))
-                        })?);
-                    }
-                    "elapsed_us" => {
-                        elapsed_us = Some(
-                            fields[2].parse().map_err(|_| err(i, "bad elapsed_us".into()))?,
+                        let t = rec.field()?;
+                        terminal = Some(
+                            Terminal::parse(t)
+                                .ok_or_else(|| rec.err(format!("unknown terminal '{t}'")))?,
                         );
                     }
-                    other => return Err(err(i, format!("unknown STATE key '{other}'"))),
+                    "elapsed_us" => elapsed_us = Some(rec.parse()?),
+                    other => return Err(rec.err(format!("unknown STATE key '{other}'")).into()),
                 },
-                "ITER" if fields.len() == 10 => {
-                    let nums: Vec<u64> = fields[1..]
-                        .iter()
-                        .map(|s| s.parse::<u64>())
-                        .collect::<Result<_, _>>()
-                        .map_err(|_| err(i, "bad ITER counts".into()))?;
-                    if nums[0] as usize != history.len() {
-                        return Err(err(i, format!("ITER index {} out of order", nums[0])));
+                "ITER" => {
+                    let iteration: usize = rec.parse()?;
+                    if iteration != history.len() {
+                        return Err(rec.err(format!("ITER index {iteration} out of order")).into());
                     }
                     history.push(IterationReport {
-                        iteration: nums[0] as usize,
-                        n_combinations: nums[1] as usize,
-                        n_combinations_kept: nums[2] as usize,
-                        n_generated: nums[3] as usize,
-                        n_candidates: nums[4] as usize,
-                        n_after_iv: nums[5] as usize,
-                        n_after_redundancy: nums[6] as usize,
-                        n_selected: nums[7] as usize,
+                        iteration,
+                        n_combinations: rec.parse()?,
+                        n_combinations_kept: rec.parse()?,
+                        n_generated: rec.parse()?,
+                        n_candidates: rec.parse()?,
+                        n_after_iv: rec.parse()?,
+                        n_after_redundancy: rec.parse()?,
+                        n_selected: rec.parse()?,
                         selected: Vec::new(),
-                        elapsed_us: nums[8],
+                        elapsed_us: rec.parse()?,
                         status: IterationStatus::Completed, // placeholder until STATUS
                     });
                     have_status.push(false);
                     have_selected.push(false);
                 }
-                "STATUS" if fields.len() >= 3 => {
-                    let idx: usize =
-                        fields[1].parse().map_err(|_| err(i, "bad STATUS index".into()))?;
-                    let (r, seen) = history
+                "STATUS" => {
+                    let idx: usize = rec.parse()?;
+                    let (it, seen) = history
                         .get_mut(idx)
                         .zip(have_status.get_mut(idx))
-                        .ok_or_else(|| err(i, format!("STATUS for unknown iteration {idx}")))?;
-                    r.status = match (fields[2], fields.len()) {
-                        ("completed", 3) => IterationStatus::Completed,
-                        ("degraded", 5) => IterationStatus::Degraded {
-                            stage: stage_static(fields[3]).ok_or_else(|| {
-                                err(i, format!("unknown degraded stage '{}'", fields[3]))
-                            })?,
-                            reason: unescape(fields[4]),
-                        },
-                        ("skipped", 4) => IterationStatus::Skipped {
-                            reason: unescape(fields[3]),
-                        },
-                        _ => return Err(err(i, "malformed STATUS record".into())),
+                        .ok_or_else(|| rec.err(format!("STATUS for unknown iteration {idx}")))?;
+                    it.status = match rec.field()? {
+                        "completed" => IterationStatus::Completed,
+                        "degraded" => {
+                            let stage = rec.field()?;
+                            IterationStatus::Degraded {
+                                stage: stage_static(stage).ok_or_else(|| {
+                                    rec.err(format!("unknown degraded stage '{stage}'"))
+                                })?,
+                                reason: unescape(rec.field()?),
+                            }
+                        }
+                        "skipped" => IterationStatus::Skipped { reason: unescape(rec.field()?) },
+                        other => return Err(rec.err(format!("unknown STATUS '{other}'")).into()),
                     };
                     *seen = true;
                 }
-                "SELECTED" if fields.len() >= 3 => {
-                    let idx: usize =
-                        fields[1].parse().map_err(|_| err(i, "bad SELECTED index".into()))?;
-                    let n: usize =
-                        fields[2].parse().map_err(|_| err(i, "bad SELECTED count".into()))?;
-                    if fields.len() != 3 + n {
-                        return Err(err(i, "SELECTED count mismatch".into()));
-                    }
-                    let (r, seen) = history
+                "SELECTED" => {
+                    let idx: usize = rec.parse()?;
+                    let names = rec.list(|f| f.field().map(String::from))?;
+                    let (it, seen) = history
                         .get_mut(idx)
                         .zip(have_selected.get_mut(idx))
-                        .ok_or_else(|| err(i, format!("SELECTED for unknown iteration {idx}")))?;
-                    r.selected = fields[3..].iter().map(|s| s.to_string()).collect();
+                        .ok_or_else(|| rec.err(format!("SELECTED for unknown iteration {idx}")))?;
+                    it.selected = names;
                     *seen = true;
                 }
-                "PLAN_BEGIN" if fields.len() == 2 => {
-                    section = Some(("plan", i, String::new()));
+                "PLAN_BEGIN" => {
+                    rec.field()?;
+                    let plan = FeaturePlan::from_text(r.section("PLAN_END")?)
+                        .map_err(|e| rec.err(format!("embedded plan: {e}")))?;
+                    plans.push(plan);
                 }
                 // Stats-cache entry counts, written by checkpoints that
                 // predate the cache's removal: validated, then ignored.
-                "CACHE" if fields.len() == 3 => {
-                    if !matches!(fields[1], "iv" | "pearson") {
-                        return Err(err(i, format!("unknown CACHE kind '{}'", fields[1])));
+                "CACHE" => {
+                    let kind = rec.field()?;
+                    if !matches!(kind, "iv" | "pearson") {
+                        return Err(rec.err(format!("unknown CACHE kind '{kind}'")).into());
                     }
-                    let _: usize =
-                        fields[2].parse().map_err(|_| err(i, "bad CACHE count".into()))?;
+                    rec.parse::<usize>()?;
                 }
                 // Bin-cache keys, written by older checkpoints and never
                 // read back (resume starts cold): validated, then ignored.
-                "BINKEY" if fields.len() == 3 => {
-                    let _: usize = fields[1]
-                        .parse()
-                        .map_err(|_| err(i, "bad BINKEY bins".into()))?;
+                "BINKEY" => {
+                    rec.parse::<usize>()?;
+                    rec.field()?;
                 }
                 "REPORT_BEGIN" => {
-                    section = Some(("report", i, String::new()));
+                    let json = RunReport::from_json(r.section("REPORT_END")?)
+                        .map_err(|e| rec.err(format!("embedded report: {e}")))?;
+                    report = Some(json);
                 }
-                other => return Err(err(i, format!("unrecognized record '{other}'"))),
+                other => return Err(rec.err(format!("unrecognized record '{other}'")).into()),
             }
-            // Assemble the fingerprint once all CONFIG records are in; the
-            // writer emits exactly ten, in a fixed order, but lookup by key
-            // keeps the format order-insensitive.
-            if fields[0] == "CONFIG" && cfg.len() == 10 && fingerprint.is_none() {
-                fingerprint = Some(parse_fingerprint(&cfg).map_err(|m| err(i, m))?);
-            }
+            rec.end()?;
         }
-        if let Some((_, start, _)) = section {
-            return Err(err(start, "unterminated section".into()));
-        }
-        let fingerprint =
-            fingerprint.ok_or_else(|| err(0, "incomplete CONFIG records".into()))?;
+        let fingerprint = parse_fingerprint(&cfg, &r)?;
         let iterations_done =
-            iterations_done.ok_or_else(|| err(0, "missing STATE iterations_done".into()))?;
-        let terminal = terminal.ok_or_else(|| err(0, "missing STATE terminal".into()))?;
-        let elapsed_us = elapsed_us.ok_or_else(|| err(0, "missing STATE elapsed_us".into()))?;
-        let report = report.ok_or_else(|| err(0, "missing REPORT section".into()))?;
+            iterations_done.ok_or_else(|| r.err("missing STATE iterations_done"))?;
+        let terminal = terminal.ok_or_else(|| r.err("missing STATE terminal"))?;
+        let elapsed_us = elapsed_us.ok_or_else(|| r.err("missing STATE elapsed_us"))?;
+        let report = report.ok_or_else(|| r.err("missing REPORT section"))?;
         if history.len() != iterations_done || plans.len() != iterations_done {
-            return Err(err(
-                0,
-                format!(
-                    "iteration record mismatch: {} ITER, {} plans, iterations_done {}",
-                    history.len(),
-                    plans.len(),
-                    iterations_done
-                ),
-            ));
+            let (n_iter, n_plans) = (history.len(), plans.len());
+            let counts = format!("{n_iter} ITER, {n_plans} plans, iterations_done {iterations_done}");
+            return Err(r.err(format!("iteration record mismatch: {counts}")).into());
         }
         if have_status.iter().any(|&b| !b) || have_selected.iter().any(|&b| !b) {
-            return Err(err(0, "iteration missing STATUS or SELECTED record".into()));
+            return Err(r.err("iteration missing STATUS or SELECTED record").into());
         }
         Ok(Checkpoint {
             fingerprint,
@@ -609,34 +524,32 @@ impl Checkpoint {
     }
 }
 
-fn parse_fingerprint(cfg: &[(String, String)]) -> Result<ConfigFingerprint, String> {
-    let get = |key: &str| -> Result<&str, String> {
+/// The fingerprint from the `CONFIG` records, each a key and one value.
+fn parse_fingerprint(
+    cfg: &[(&str, Record)],
+    r: &Reader,
+) -> Result<ConfigFingerprint, RecordError> {
+    let value = |key: &str| {
         cfg.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-            .ok_or_else(|| format!("missing CONFIG {key}"))
+            .find(|(k, _)| *k == key)
+            .map(|(_, rec)| rec.clone())
+            .ok_or_else(|| r.err(format!("missing CONFIG {key}")))
     };
-    let uint = |key: &str| -> Result<usize, String> {
-        get(key)?.parse().map_err(|_| format!("bad CONFIG {key}"))
-    };
-    let bits = |key: &str| -> Result<f64, String> {
-        u64::from_str_radix(get(key)?, 16)
-            .map(f64::from_bits)
-            .map_err(|_| format!("bad CONFIG {key}"))
-    };
+    let mut strategy = value("strategy")?;
+    let mut selection = value("selection")?;
     Ok(ConfigFingerprint {
-        seed: get("seed")?.parse().map_err(|_| "bad CONFIG seed".to_string())?,
-        gamma: uint("gamma")?,
-        alpha: bits("alpha")?,
-        beta: uint("beta")?,
-        theta: bits("theta")?,
-        output_multiplier: uint("multiplier")?,
-        n_iterations: uint("n_iterations")?,
-        strategy: strategy_parse(get("strategy")?)
-            .ok_or_else(|| "bad CONFIG strategy".to_string())?,
-        selection: selection_parse(get("selection")?)
-            .ok_or_else(|| "bad CONFIG selection".to_string())?,
-        cache: get("cache")? == "1",
+        seed: value("seed")?.parse()?,
+        gamma: value("gamma")?.parse()?,
+        alpha: value("alpha")?.hex()?,
+        beta: value("beta")?.parse()?,
+        theta: value("theta")?.hex()?,
+        output_multiplier: value("multiplier")?.parse()?,
+        n_iterations: value("n_iterations")?.parse()?,
+        strategy: strategy_parse(strategy.field()?)
+            .ok_or_else(|| strategy.err("bad CONFIG strategy"))?,
+        selection: selection_parse(selection.field()?)
+            .ok_or_else(|| selection.err("bad CONFIG selection"))?,
+        cache: value("cache")?.field()? == "1",
     })
 }
 
@@ -896,8 +809,7 @@ mod tests {
         let body = text.splitn(3, '\n').nth(2).unwrap();
         let at = body.find("REPORT_BEGIN\n").unwrap();
         let body = format!("{}{records}{}", &body[..at], &body[at..]);
-        let checksum = fnv1a64(body.as_bytes());
-        format!("SAFECKPT\t1\nCHECKSUM\t{checksum:016x}\n{body}")
+        seal("SAFECKPT\t1", &body)
     }
 
     #[test]

@@ -13,6 +13,7 @@ use std::fmt;
 
 use safe_data::column::ColumnRead;
 use safe_data::dataset::{Dataset, FeatureMeta};
+use safe_data::record::{hex, Reader, Record, RecordError};
 use safe_ops::op::{FittedOperator, OpError};
 use safe_ops::registry::OperatorRegistry;
 
@@ -61,6 +62,13 @@ impl std::error::Error for PlanError {}
 impl From<OpError> for PlanError {
     fn from(e: OpError) -> Self {
         PlanError::Op(e)
+    }
+}
+
+impl From<RecordError> for PlanError {
+    fn from(e: RecordError) -> Self {
+        let (line, message) = e.into_parts();
+        PlanError::Parse { line, message }
     }
 }
 
@@ -225,10 +233,9 @@ impl FeaturePlan {
             }
             out.push('\t');
             out.push_str(&s.params.len().to_string());
-            for v in &s.params {
-                // Hex bit pattern: lossless f64 round trip.
+            for &v in &s.params {
                 out.push('\t');
-                out.push_str(&format!("{:016x}", v.to_bits()));
+                out.push_str(&hex(v));
             }
             out.push('\n');
         }
@@ -242,59 +249,20 @@ impl FeaturePlan {
 
     /// Parse the text codec.
     pub fn from_text(text: &str) -> Result<FeaturePlan, PlanError> {
-        let mut lines = text.lines().enumerate();
-        let err = |line: usize, message: &str| PlanError::Parse {
-            line: line + 1,
-            message: message.to_string(),
-        };
-        let (i, header) = lines.next().ok_or_else(|| err(0, "empty plan"))?;
-        if header != "SAFEPLAN\t1" {
-            return Err(err(i, "bad header (expected SAFEPLAN v1)"));
-        }
         let mut plan = FeaturePlan::default();
-        for (i, line) in lines {
-            if line.trim().is_empty() {
-                continue;
+        for mut rec in Reader::open(text, "SAFEPLAN\t1")? {
+            match rec.tag {
+                "INPUT" => plan.input_names.push(rec.field()?.to_string()),
+                "OUT" => plan.outputs.push(rec.field()?.to_string()),
+                "STEP" => plan.steps.push(PlanStep {
+                    name: rec.field()?.to_string(),
+                    op: rec.field()?.to_string(),
+                    parents: rec.list(|r| r.field().map(String::from))?,
+                    params: rec.list(Record::hex)?,
+                }),
+                other => return Err(rec.err(format!("unrecognized record '{other}'")).into()),
             }
-            let fields: Vec<&str> = line.split('\t').collect();
-            match fields[0] {
-                "INPUT" if fields.len() == 2 => plan.input_names.push(fields[1].to_string()),
-                "OUT" if fields.len() == 2 => plan.outputs.push(fields[1].to_string()),
-                "STEP" if fields.len() >= 4 => {
-                    let name = fields[1].to_string();
-                    let op = fields[2].to_string();
-                    let n_parents: usize = fields[3]
-                        .parse()
-                        .map_err(|_| err(i, "bad parent count"))?;
-                    let parents_end = 4 + n_parents;
-                    if fields.len() < parents_end + 1 {
-                        return Err(err(i, "truncated STEP line"));
-                    }
-                    let parents: Vec<String> =
-                        fields[4..parents_end].iter().map(|s| s.to_string()).collect();
-                    let n_params: usize = fields[parents_end]
-                        .parse()
-                        .map_err(|_| err(i, "bad param count"))?;
-                    if fields.len() != parents_end + 1 + n_params {
-                        return Err(err(i, "param count mismatch"));
-                    }
-                    let params: Result<Vec<f64>, PlanError> = fields[parents_end + 1..]
-                        .iter()
-                        .map(|s| {
-                            u64::from_str_radix(s, 16)
-                                .map(f64::from_bits)
-                                .map_err(|_| err(i, "bad param hex"))
-                        })
-                        .collect();
-                    plan.steps.push(PlanStep {
-                        name,
-                        op,
-                        parents,
-                        params: params?,
-                    });
-                }
-                other => return Err(err(i, &format!("unrecognized record '{other}'"))),
-            }
+            rec.end()?;
         }
         plan.validate()?;
         Ok(plan)
@@ -762,6 +730,10 @@ mod tests {
         assert!(matches!(err, PlanError::Parse { line: 2, .. }));
         // Truncated STEP.
         assert!(FeaturePlan::from_text("SAFEPLAN\t1\nINPUT\ta\nSTEP\tx\tlog\t5\ta\n").is_err());
+        // A parent count no line could hold.
+        let text = "SAFEPLAN\t1\nINPUT\ta\nSTEP\tx\tlog\t18446744073709551615\n";
+        let err = FeaturePlan::from_text(text).unwrap_err();
+        assert!(matches!(err, PlanError::Parse { line: 3, .. }), "{err:?}");
     }
 
     #[test]

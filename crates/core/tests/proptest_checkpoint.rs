@@ -3,8 +3,13 @@
 //! degradation reasons (including tabs, newlines, and backslashes), empty
 //! iteration histories — must round-trip through `to_text`/`from_text`
 //! exactly, re-serialize byte-identically, and fail closed on truncation.
+//! A mutated, resealed snapshot is rejected with a typed error or accepted
+//! as one that re-encodes to a fixed point.
 
 use proptest::prelude::*;
+
+#[path = "../../../tests/support/mutation.rs"]
+mod mutation;
 
 use safe_core::checkpoint::{Checkpoint, ConfigFingerprint, Terminal};
 use safe_core::plan::{FeaturePlan, PlanStep};
@@ -259,6 +264,25 @@ proptest! {
         }
         prop_assume!(k < text.len());
         prop_assert!(Checkpoint::from_text(&text[..k]).is_err());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn checkpoint_mutations_fail_typed_or_reach_a_fixed_point(
+        seed in any::<u64>(),
+        m in (0u8..4, any::<usize>(), 0u8..8),
+    ) {
+        let ckpt = make_checkpoint("ab", "why\tnot", &[1.5, f64::NAN], seed, 3, 2, 2, 0, 1);
+        if let Ok(back) = Checkpoint::from_text(&mutation::mutate(&ckpt.to_text(), true, m)) {
+            let text = back.to_text();
+            match Checkpoint::from_text(&text) {
+                Ok(again) => prop_assert_eq!(again.to_text(), text),
+                Err(e) => return Err(TestCaseError::fail(format!("re-decode failed: {e}"))),
+            }
+        }
     }
 }
 

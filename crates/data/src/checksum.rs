@@ -1,12 +1,12 @@
 //! FNV-1a/64 — the workspace's shared integrity checksum.
 //!
-//! Every durable text format in the workspace (the `SAFEARTIFACT` serving
-//! bundle, the `SAFECKPT` training checkpoint) carries a `CHECKSUM` line
-//! computed with this hash over everything below it. FNV-1a is not
-//! cryptographic; it exists to catch truncation, torn writes, and
-//! accidental edits, and it is trivially dependency-free. The function
-//! lives here — the lowest crate in the workspace — so both `safe-core`
-//! (checkpoints) and `safe-serve` (artifacts) can share one definition.
+//! The `SAFEARTIFACT` serving bundle and the `SAFECKPT` training
+//! checkpoint carry a `CHECKSUM` line with this hash of everything below
+//! it, written by [`crate::record::seal`]. Plans and boosters carry none:
+//! a bare `.safeplan` file is unchecked, and a booster is only ever stored
+//! inside an artifact. FNV-1a is not cryptographic; it exists to catch
+//! truncation, torn writes, and accidental edits, and it is trivially
+//! dependency-free.
 
 /// FNV-1a 64-bit hash of `bytes`.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {

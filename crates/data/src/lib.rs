@@ -10,6 +10,8 @@
 //! - deterministic shuffling and train/valid/test [`split`]ting (plain and
 //!   stratified),
 //! - a small dependency-free [`csv`] reader/writer,
+//! - the [`record`] reader behind the four text codecs, and the
+//!   [`checksum`] that seals the artifact and the checkpoint,
 //! - equal-frequency / equal-width [`binning`] used by the Information Value
 //!   computation (Algorithm 3 of the paper) and by discretization operators.
 //!
@@ -44,6 +46,7 @@ pub mod csv;
 pub mod dataset;
 pub mod error;
 pub mod failpoints;
+pub mod record;
 pub mod split;
 
 pub use audit::{

@@ -1,11 +1,11 @@
 //! Text serialization of trained boosters.
 //!
-//! A [`GbmModel`] serializes to a line-oriented, tab-separated text format
-//! mirroring the `FeaturePlan` codec in `safe-core`: a versioned header,
-//! one record per line, and every `f64` written as its 16-hex-digit IEEE-754
-//! bit pattern so a round trip is lossless to the bit. The serving subsystem
-//! (`safe-serve`) embeds this block inside a `SafeArtifact` so a fitted
-//! scorer can be persisted next to the feature plan it consumes.
+//! A [`GbmModel`] serializes to the workspace's line-record format
+//! ([`safe_data::record`]): a versioned header, one record per line, and
+//! every `f64` written as its 16-hex-digit IEEE-754 bit pattern so a round
+//! trip is lossless to the bit. The serving subsystem (`safe-serve`) embeds
+//! this block inside a `SafeArtifact` so a fitted scorer can be persisted
+//! next to the feature plan it consumes.
 //!
 //! Format (version 1):
 //!
@@ -20,9 +20,15 @@
 //! ...
 //! ```
 //!
-//! Nodes appear in arena order (index 0 is the root), `n_nodes` lines per
-//! `TREE` record. `eval_history` is training-time telemetry, not part of the
-//! scoring function, and is deliberately not serialized.
+//! Nodes appear in arena order (index 0 is the root): the `n_nodes` records
+//! after a `TREE` record are its nodes. The decoder accepts only trees:
+//! every child index inside the arena, no parent for the root, exactly one
+//! for every other node, and every node reachable from the root, so
+//! prediction on a decoded model always reaches a leaf. `eval_history` is
+//! training-time telemetry, not part of the scoring function, and is
+//! deliberately not serialized.
+
+use safe_data::record::{hex, Reader, Record, RecordError};
 
 use crate::booster::GbmModel;
 use crate::config::Objective;
@@ -31,23 +37,6 @@ use crate::tree::{Tree, TreeNode};
 
 /// Current codec format version.
 pub const GBM_FORMAT_VERSION: u32 = 1;
-
-fn hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn parse_err(line: usize, message: impl Into<String>) -> GbmError {
-    GbmError::Parse {
-        line: line + 1,
-        message: message.into(),
-    }
-}
-
-fn parse_hex(s: &str, line: usize) -> Result<f64, GbmError> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|_| parse_err(line, format!("bad f64 hex '{s}'")))
-}
 
 impl GbmModel {
     /// Serialize to the versioned text codec (lossless f64 round trip).
@@ -86,123 +75,44 @@ impl GbmModel {
         out
     }
 
-    /// Parse the text codec. Validates the header version, node counts, and
-    /// child indices (every internal node must point inside its own arena).
+    /// Parse the text codec. Validates the header version, that each
+    /// `TREE` is followed by its nodes, and that each tree is a tree whose
+    /// splits read features inside `NFEATURES`.
     pub fn from_text(text: &str) -> Result<GbmModel, GbmError> {
-        let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
-        let (i, header) = lines.next().ok_or_else(|| parse_err(0, "empty model"))?;
-        if header != "SAFEGBM\t1" {
-            return Err(parse_err(i, "bad header (expected SAFEGBM v1)"));
-        }
-
-        let mut base: Option<f64> = None;
-        let mut objective: Option<Objective> = None;
-        let mut n_features: Option<usize> = None;
-        let mut trees: Vec<Tree> = Vec::new();
-        // Nodes still owed to the TREE record currently being filled.
-        let mut pending: usize = 0;
-
-        for (i, line) in lines {
-            let fields: Vec<&str> = line.split('\t').collect();
-            match fields[0] {
-                "BASE" if fields.len() == 2 => base = Some(parse_hex(fields[1], i)?),
-                "OBJECTIVE" if fields.len() == 2 => {
-                    objective = Some(match fields[1] {
+        let mut r = Reader::open(text, "SAFEGBM\t1")?;
+        let (mut base, mut objective, mut n_features) = (None, None, None);
+        let mut trees = Vec::new();
+        while let Some(mut rec) = r.next() {
+            match rec.tag {
+                "BASE" => base = Some(rec.hex()?),
+                "OBJECTIVE" => {
+                    objective = Some(match rec.field()? {
                         "logistic" => Objective::Logistic,
                         "squared" => Objective::Squared,
-                        other => return Err(parse_err(i, format!("unknown objective '{other}'"))),
+                        other => return Err(rec.err(format!("unknown objective '{other}'")).into()),
                     })
                 }
-                "NFEATURES" if fields.len() == 2 => {
-                    n_features = Some(
-                        fields[1]
-                            .parse()
-                            .map_err(|_| parse_err(i, "bad feature count"))?,
-                    )
-                }
-                "TREE" if fields.len() == 2 => {
-                    if pending > 0 {
-                        return Err(parse_err(i, "previous TREE record is short of nodes"));
+                "NFEATURES" => n_features = Some(rec.parse()?),
+                "TREE" => {
+                    let n_nodes: usize = rec.parse()?;
+                    let mut nodes = Vec::new();
+                    for _ in 0..n_nodes {
+                        let mut node = r.next().ok_or_else(|| rec.err("TREE is short of nodes"))?;
+                        nodes.push(read_node(&mut node)?);
+                        node.end()?;
                     }
-                    pending = fields[1]
-                        .parse()
-                        .map_err(|_| parse_err(i, "bad node count"))?;
-                    if pending == 0 {
-                        return Err(parse_err(i, "TREE must have at least one node"));
-                    }
-                    trees.push(Tree { nodes: Vec::with_capacity(pending) });
+                    trees.push(Tree { nodes });
                 }
-                "I" if fields.len() == 7 => {
-                    let tree = match (pending, trees.last_mut()) {
-                        (p, Some(t)) if p > 0 => t,
-                        _ => return Err(parse_err(i, "node outside a TREE record")),
-                    };
-                    let feature: usize = fields[1]
-                        .parse()
-                        .map_err(|_| parse_err(i, "bad feature index"))?;
-                    let threshold = parse_hex(fields[2], i)?;
-                    let default_left = match fields[3] {
-                        "0" => false,
-                        "1" => true,
-                        other => {
-                            return Err(parse_err(i, format!("bad default flag '{other}'")))
-                        }
-                    };
-                    let left: usize =
-                        fields[4].parse().map_err(|_| parse_err(i, "bad left index"))?;
-                    let right: usize =
-                        fields[5].parse().map_err(|_| parse_err(i, "bad right index"))?;
-                    let gain = parse_hex(fields[6], i)?;
-                    tree.nodes.push(TreeNode::Internal {
-                        feature,
-                        threshold,
-                        default_left,
-                        left,
-                        right,
-                        gain,
-                    });
-                    pending -= 1;
-                }
-                "L" if fields.len() == 2 => {
-                    let tree = match (pending, trees.last_mut()) {
-                        (p, Some(t)) if p > 0 => t,
-                        _ => return Err(parse_err(i, "node outside a TREE record")),
-                    };
-                    let value = parse_hex(fields[1], i)?;
-                    tree.nodes.push(TreeNode::Leaf { value });
-                    pending -= 1;
-                }
-                other => return Err(parse_err(i, format!("unrecognized record '{other}'"))),
+                other => return Err(rec.err(format!("unrecognized record '{other}'")).into()),
             }
-        }
-        if pending > 0 {
-            return Err(parse_err(0, "final TREE record is short of nodes"));
+            rec.end()?;
         }
 
-        let base = base.ok_or_else(|| parse_err(0, "missing BASE record"))?;
-        let objective = objective.ok_or_else(|| parse_err(0, "missing OBJECTIVE record"))?;
-        let n_features = n_features.ok_or_else(|| parse_err(0, "missing NFEATURES record"))?;
-
-        // Structural audit: child indices must stay inside the arena and
-        // split features inside the declared schema, so a corrupted file is
-        // rejected here rather than panicking at predict time.
+        let base = base.ok_or_else(|| r.err("missing BASE record"))?;
+        let objective = objective.ok_or_else(|| r.err("missing OBJECTIVE record"))?;
+        let n_features = n_features.ok_or_else(|| r.err("missing NFEATURES record"))?;
         for (t, tree) in trees.iter().enumerate() {
-            for node in &tree.nodes {
-                if let TreeNode::Internal { feature, left, right, .. } = node {
-                    if *left >= tree.nodes.len() || *right >= tree.nodes.len() {
-                        return Err(parse_err(
-                            0,
-                            format!("tree {t}: child index out of bounds"),
-                        ));
-                    }
-                    if *feature >= n_features {
-                        return Err(parse_err(
-                            0,
-                            format!("tree {t}: split feature {feature} >= NFEATURES {n_features}"),
-                        ));
-                    }
-                }
-            }
+            check_tree(&tree.nodes, n_features).map_err(|m| r.err(format!("tree {t}: {m}")))?;
         }
 
         Ok(GbmModel {
@@ -212,6 +122,60 @@ impl GbmModel {
             n_features,
             eval_history: Vec::new(),
         })
+    }
+}
+
+fn read_node(rec: &mut Record<'_>) -> Result<TreeNode, RecordError> {
+    Ok(match rec.tag {
+        "L" => TreeNode::Leaf { value: rec.hex()? },
+        "I" => TreeNode::Internal {
+            feature: rec.parse()?,
+            threshold: rec.hex()?,
+            default_left: match rec.field()? {
+                "0" => false,
+                "1" => true,
+                other => return Err(rec.err(format!("bad default flag '{other}'"))),
+            },
+            left: rec.parse()?,
+            right: rec.parse()?,
+            gain: rec.hex()?,
+        },
+        other => return Err(rec.err(format!("expected a TREE node, got '{other}'"))),
+    })
+}
+
+/// Checks that `nodes` is a tree as the module docs define it, with splits
+/// on features below `n_features`. Parent counts alone would accept a cycle
+/// detached from the root, so the walk from the root must reach every node.
+fn check_tree(nodes: &[TreeNode], n_features: usize) -> Result<(), String> {
+    let mut has_parent = vec![false; nodes.len()];
+    for node in nodes {
+        if let TreeNode::Internal { feature, left, right, .. } = node {
+            if *feature >= n_features {
+                return Err(format!("split feature {feature} >= NFEATURES {n_features}"));
+            }
+            for &child in [left, right] {
+                match has_parent.get_mut(child) {
+                    Some(seen) if child != 0 && !*seen => *seen = true,
+                    _ => return Err(format!("child {child} is out of range, the root, or shared")),
+                }
+            }
+        }
+    }
+    // With at most one parent per node and none for the root, the walk
+    // visits each node it reaches once, so it ends.
+    let mut stack = vec![0];
+    let mut reached = 0;
+    while let Some(i) = stack.pop() {
+        reached += 1;
+        if let Some(TreeNode::Internal { left, right, .. }) = nodes.get(i) {
+            stack.extend([*left, *right]);
+        }
+    }
+    if reached == nodes.len() {
+        Ok(())
+    } else {
+        Err("the tree is empty or a node is unreachable from the root".into())
     }
 }
 
@@ -336,6 +300,23 @@ mod tests {
             "SAFEGBM\t1\nBASE\t0000000000000000\nOBJECTIVE\tlogistic\nNFEATURES\t1\nTREE\t2\nL\t0000000000000000\n"
         )
         .is_err());
+        // An empty tree has no root to predict from.
+        assert!(GbmModel::from_text(
+            "SAFEGBM\t1\nBASE\t0000000000000000\nOBJECTIVE\tlogistic\nNFEATURES\t1\nTREE\t0\n"
+        )
+        .is_err());
+        // A node count no allocation could hold.
+        let err = GbmModel::from_text(
+            "SAFEGBM\t1\nBASE\t0000000000000000\nOBJECTIVE\tlogistic\nNFEATURES\t1\nTREE\t18446744073709551615\nL\t0000000000000000\n"
+        )
+        .unwrap_err();
+        assert!(matches!(err, GbmError::Parse { .. }), "{err:?}");
+        // A root naming itself as both children: prediction would never end.
+        let err = GbmModel::from_text(
+            "SAFEGBM\t1\nBASE\t0000000000000000\nOBJECTIVE\tlogistic\nNFEATURES\t1\nTREE\t1\nI\t0\t0000000000000000\t1\t0\t0\t0000000000000000\n"
+        )
+        .unwrap_err();
+        assert!(matches!(err, GbmError::Parse { .. }), "{err:?}");
     }
 
     #[test]
@@ -348,6 +329,14 @@ mod tests {
         // Split feature outside the declared schema.
         let text = "SAFEGBM\t1\nBASE\t0000000000000000\nOBJECTIVE\tlogistic\nNFEATURES\t1\n\
                     TREE\t3\nI\t5\t0000000000000000\t1\t1\t2\t0000000000000000\n\
+                    L\t0000000000000000\nL\t0000000000000000\n";
+        assert!(GbmModel::from_text(text).is_err());
+        // Nodes 1 and 2 are each other's parent, detached from a leaf root:
+        // every node but the root has one parent, yet not all are reachable.
+        let text = "SAFEGBM\t1\nBASE\t0000000000000000\nOBJECTIVE\tlogistic\nNFEATURES\t1\n\
+                    TREE\t5\nL\t0000000000000000\n\
+                    I\t0\t0000000000000000\t1\t2\t3\t0000000000000000\n\
+                    I\t0\t0000000000000000\t1\t1\t4\t0000000000000000\n\
                     L\t0000000000000000\nL\t0000000000000000\n";
         assert!(GbmModel::from_text(text).is_err());
     }

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use safe_data::error::DataError;
+use safe_data::record::RecordError;
 
 /// Everything that can go wrong while training a [`crate::Gbm`].
 #[derive(Debug, Clone, PartialEq)]
@@ -27,7 +28,7 @@ pub enum GbmError {
     Data(DataError),
     /// A serialized model (see [`crate::codec`]) failed to parse.
     Parse {
-        /// 1-based line in the text (0 = whole-document check).
+        /// 1-based line in the text the error refers to.
         line: usize,
         /// What went wrong.
         message: String,
@@ -67,6 +68,13 @@ impl std::error::Error for GbmError {
 impl From<DataError> for GbmError {
     fn from(e: DataError) -> Self {
         GbmError::Data(e)
+    }
+}
+
+impl From<RecordError> for GbmError {
+    fn from(e: RecordError) -> Self {
+        let (line, message) = e.into_parts();
+        GbmError::Parse { line, message }
     }
 }
 

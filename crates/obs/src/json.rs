@@ -150,11 +150,18 @@ impl Value {
     }
 }
 
-/// Parse one JSON document. Trailing non-whitespace is an error.
+/// How deeply arrays and objects may nest in a parsed document. Each
+/// level is a recursive call, so the cap keeps hostile input (a daemon
+/// request line of nested `[`) from overflowing the stack. The deepest
+/// document the workspace writes, a `RunReport`, nests 6 levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parse one JSON document. Trailing non-whitespace is an error, and so is
+/// nesting arrays and objects more than 128 levels deep.
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing characters at byte {pos}"));
@@ -168,12 +175,16 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// `depth` is how many more arrays or objects may open.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == 0 => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}", pos = *pos))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth - 1),
+        Some(b'[') => parse_array(bytes, pos, depth - 1),
         Some(b'"') => Ok(Value::String(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
@@ -256,7 +267,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -265,7 +276,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -278,7 +289,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // '{'
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -297,7 +308,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -335,8 +346,10 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["{", "[1,", "\"open", "{\"a\" 1}", "12x", "{} trailing", "{'a':1}"] {
-            assert!(parse(bad).is_err(), "{bad} should not parse");
+        let deep_arrays = "[".repeat(200_000);
+        let deep_objects = "{\"a\":".repeat(200_000);
+        for bad in ["{", "[1,", "\"open", "{\"a\" 1}", "12x", "{} trailing", "{'a':1}", &deep_arrays, &deep_objects] {
+            assert!(parse(bad).is_err(), "{bad:.12} should not parse");
         }
     }
 

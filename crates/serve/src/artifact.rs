@@ -1,6 +1,6 @@
 //! The versioned serving artifact: plan + booster + schema in one file.
 //!
-//! Format (version 1) — line-oriented, tab-separated, zero dependencies:
+//! Format (version 1), a schema over [`safe_data::record`]:
 //!
 //! ```text
 //! SAFEARTIFACT\t1
@@ -29,6 +29,7 @@ use std::path::Path;
 
 use safe_core::plan::FeaturePlan;
 use safe_data::dataset::{Dataset, FeatureMeta, FeatureOrigin};
+use safe_data::record::{hex, seal, Reader};
 use safe_gbm::{Gbm, GbmConfig, GbmModel};
 use safe_ops::registry::OperatorRegistry;
 use safe_stats::auc::auc;
@@ -37,12 +38,6 @@ use crate::error::ServeError;
 
 /// Current artifact format version.
 pub const ARTIFACT_FORMAT_VERSION: u32 = 1;
-
-/// FNV-1a 64-bit hash — the checksum the artifact header carries. Not
-/// cryptographic; it exists to catch truncation and accidental edits.
-/// Shared with the `SAFECKPT` training checkpoint via
-/// [`safe_data::checksum`]; re-exported here for API compatibility.
-pub use safe_data::checksum::fnv1a64;
 
 /// Everything the serving side needs, bundled and versioned: the learned
 /// feature plan Ψ, the fitted scoring booster, the expected raw input
@@ -160,7 +155,7 @@ impl SafeArtifact {
             body.push('\n');
         }
         if let Some(a) = self.val_auc {
-            body.push_str(&format!("VAL_AUC\t{:016x}\n", a.to_bits()));
+            body.push_str(&format!("VAL_AUC\t{}\n", hex(a)));
         }
         body.push_str("PLAN_BEGIN\n");
         body.push_str(&self.plan.to_text());
@@ -168,110 +163,40 @@ impl SafeArtifact {
         body.push_str("BOOSTER_BEGIN\n");
         body.push_str(&self.model.to_text());
         body.push_str("BOOSTER_END\n");
-
-        let mut out = String::from("SAFEARTIFACT\t1\n");
-        out.push_str(&format!("CHECKSUM\t{:016x}\n", fnv1a64(body.as_bytes())));
-        out.push_str(&body);
-        out
+        seal("SAFEARTIFACT\t1", &body)
     }
 
     /// Parse the text format: header and checksum verified first, then the
     /// sections, then cross-section consistency ([`SafeArtifact::validate`]).
     pub fn from_text(text: &str) -> Result<SafeArtifact, ServeError> {
-        let parse_err = |line: usize, message: &str| ServeError::Parse {
-            line: line + 1,
-            message: message.to_string(),
-        };
-        let mut it = text.splitn(3, '\n');
-        let header = it.next().unwrap_or("");
-        if header != "SAFEARTIFACT\t1" {
-            return Err(parse_err(0, "bad header (expected SAFEARTIFACT v1)"));
-        }
-        let checksum_line = it
-            .next()
-            .ok_or_else(|| parse_err(1, "missing CHECKSUM line"))?;
-        let expected = checksum_line
-            .strip_prefix("CHECKSUM\t")
-            .ok_or_else(|| parse_err(1, "second line must be CHECKSUM"))?;
-        let body = it.next().unwrap_or("");
-        let actual = format!("{:016x}", fnv1a64(body.as_bytes()));
-        if expected != actual {
-            return Err(ServeError::Checksum {
-                expected: expected.to_string(),
-                actual,
-            });
-        }
-
-        let mut input_schema = Vec::new();
-        let mut output_meta = Vec::new();
-        let mut val_auc = None;
-        let mut plan_text: Option<String> = None;
-        let mut booster_text: Option<String> = None;
-        // Section being accumulated: None = top level.
-        let mut section: Option<(&str, String)> = None;
-
-        // Line numbers are offset by the 2 header lines for error messages.
-        for (i, line) in body.lines().enumerate() {
-            let i = i + 2;
-            if let Some((kind, acc)) = section.as_mut() {
-                let end = if *kind == "plan" { "PLAN_END" } else { "BOOSTER_END" };
-                if line == end {
-                    let (kind, acc) = section.take().unwrap_or(("", String::new()));
-                    if kind == "plan" {
-                        plan_text = Some(acc);
-                    } else {
-                        booster_text = Some(acc);
-                    }
-                } else {
-                    acc.push_str(line);
-                    acc.push('\n');
+        let mut r = Reader::open_checked(text, "SAFEARTIFACT\t1")?;
+        let (mut input_schema, mut output_meta) = (Vec::new(), Vec::new());
+        let (mut val_auc, mut plan, mut model) = (None, None, None);
+        while let Some(mut rec) = r.next() {
+            match rec.tag {
+                "INPUT" => input_schema.push(rec.field()?.to_string()),
+                "OUTPUT" => {
+                    let name = rec.field()?;
+                    output_meta.push(match rec.field()? {
+                        "original" => FeatureMeta::original(name),
+                        "generated" => FeatureMeta::generated(
+                            name,
+                            rec.field()?,
+                            rec.list(|r| r.field().map(String::from))?,
+                        ),
+                        other => return Err(rec.err(format!("bad OUTPUT origin '{other}'")).into()),
+                    });
                 }
-                continue;
+                "VAL_AUC" => val_auc = Some(rec.hex()?),
+                "PLAN_BEGIN" => plan = Some(FeaturePlan::from_text(r.section("PLAN_END")?)?),
+                "BOOSTER_BEGIN" => model = Some(GbmModel::from_text(r.section("BOOSTER_END")?)?),
+                other => return Err(rec.err(format!("unrecognized record '{other}'")).into()),
             }
-            if line.trim().is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = line.split('\t').collect();
-            match fields[0] {
-                "INPUT" if fields.len() == 2 => input_schema.push(fields[1].to_string()),
-                "OUTPUT" if fields.len() >= 3 => match fields[2] {
-                    "original" if fields.len() == 3 => {
-                        output_meta.push(FeatureMeta::original(fields[1]))
-                    }
-                    "generated" if fields.len() >= 5 => {
-                        let n: usize = fields[4]
-                            .parse()
-                            .map_err(|_| parse_err(i, "bad parent count"))?;
-                        if fields.len() != 5 + n {
-                            return Err(parse_err(i, "parent count mismatch"));
-                        }
-                        let parents = fields[5..].iter().map(|s| s.to_string()).collect();
-                        output_meta.push(FeatureMeta::generated(fields[1], fields[3], parents));
-                    }
-                    other => {
-                        return Err(parse_err(i, &format!("bad OUTPUT origin '{other}'")))
-                    }
-                },
-                "VAL_AUC" if fields.len() == 2 => {
-                    let bits = u64::from_str_radix(fields[1], 16)
-                        .map_err(|_| parse_err(i, "bad VAL_AUC hex"))?;
-                    val_auc = Some(f64::from_bits(bits));
-                }
-                "PLAN_BEGIN" => section = Some(("plan", String::new())),
-                "BOOSTER_BEGIN" => section = Some(("booster", String::new())),
-                other => return Err(parse_err(i, &format!("unrecognized record '{other}'"))),
-            }
+            rec.end()?;
         }
-        if section.is_some() {
-            return Err(parse_err(0, "unterminated PLAN/BOOSTER section"));
-        }
-        let plan_text = plan_text.ok_or_else(|| parse_err(0, "missing PLAN section"))?;
-        let booster_text =
-            booster_text.ok_or_else(|| parse_err(0, "missing BOOSTER section"))?;
-
         let artifact = SafeArtifact {
-            plan: FeaturePlan::from_text(&plan_text)?,
-            model: GbmModel::from_text(&booster_text)?,
+            plan: plan.ok_or_else(|| r.err("missing PLAN section"))?,
+            model: model.ok_or_else(|| r.err("missing BOOSTER section"))?,
             input_schema,
             output_meta,
             val_auc,
@@ -304,14 +229,6 @@ impl SafeArtifact {
 mod tests {
     use super::*;
     use crate::testutil::{toy_artifact, toy_split};
-
-    #[test]
-    fn fnv_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn text_round_trip_preserves_everything() {
@@ -368,6 +285,24 @@ mod tests {
         // Truncation loses the booster end marker → checksum fails first.
         let truncated = &text[..text.len() - 20];
         assert!(SafeArtifact::from_text(truncated).is_err());
+    }
+
+    #[test]
+    fn looping_booster_is_rejected_under_a_valid_checksum() {
+        // A root naming itself as both children, sized to pass validate():
+        // resealing makes the checksum no obstacle, so the booster decoder
+        // must refuse it, or every score through it would never return.
+        let artifact = toy_artifact(17);
+        let looping = format!(
+            "SAFEGBM\t1\nBASE\t{0}\nOBJECTIVE\tlogistic\nNFEATURES\t{1}\nTREE\t1\nI\t0\t{0}\t1\t0\t0\t{0}\n",
+            hex(0.0),
+            artifact.plan.outputs.len()
+        );
+        let text = artifact.to_text();
+        let body = text.splitn(3, '\n').nth(2).unwrap();
+        let body = body.replace(&artifact.model.to_text(), &looping);
+        let err = SafeArtifact::from_text(&seal("SAFEARTIFACT\t1", &body)).unwrap_err();
+        assert!(matches!(err, ServeError::Gbm(safe_gbm::GbmError::Parse { .. })), "{err:?}");
     }
 
     #[test]

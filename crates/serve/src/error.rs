@@ -3,6 +3,7 @@
 use std::fmt;
 
 use safe_core::plan::PlanError;
+use safe_data::record::RecordError;
 use safe_gbm::GbmError;
 
 /// Everything that can go wrong while saving, loading, or scoring a
@@ -16,7 +17,7 @@ pub enum ServeError {
     Gbm(GbmError),
     /// Artifact text failed to parse.
     Parse {
-        /// 1-based line number (0 = whole-document check).
+        /// 1-based line number the error refers to.
         line: usize,
         /// What went wrong.
         message: String,
@@ -89,6 +90,18 @@ impl From<PlanError> for ServeError {
 impl From<GbmError> for ServeError {
     fn from(e: GbmError) -> Self {
         ServeError::Gbm(e)
+    }
+}
+
+impl From<RecordError> for ServeError {
+    fn from(e: RecordError) -> Self {
+        match e {
+            RecordError::Checksum { expected, actual } => ServeError::Checksum {
+                expected: format!("{expected:016x}"),
+                actual: format!("{actual:016x}"),
+            },
+            RecordError::Parse { line, message } => ServeError::Parse { line, message },
+        }
     }
 }
 

@@ -5,14 +5,23 @@
 //!    pattern, since NaN != NaN) and unicode feature names.
 //! 2. A `SafeArtifact` text round trip preserves score bits on synthetic
 //!    datasets, whatever the seed.
+//! 3. A mutated booster or artifact is rejected with a typed error, or
+//!    accepted as one that re-encodes to a fixed point and scores a row in
+//!    bounded time.
+
+use std::sync::{mpsc, OnceLock};
+use std::time::Duration;
 
 use proptest::prelude::*;
 
 use safe_core::plan::{FeaturePlan, PlanStep};
 use safe_data::dataset::Dataset;
-use safe_gbm::GbmConfig;
+use safe_gbm::{GbmConfig, GbmModel};
 use safe_ops::registry::OperatorRegistry;
 use safe_serve::SafeArtifact;
+
+#[path = "../../../tests/support/mutation.rs"]
+mod mutation;
 
 /// Codec-safe name pools: ASCII, Greek/CJK, and emoji with spaces. Tabs and
 /// newlines are the only reserved characters.
@@ -183,5 +192,77 @@ proptest! {
             artifact.val_auc.map(f64::to_bits),
             back.val_auc.map(f64::to_bits)
         );
+    }
+}
+
+/// One trained artifact, shared by the mutation properties.
+fn trained() -> &'static SafeArtifact {
+    static ARTIFACT: OnceLock<SafeArtifact> = OnceLock::new();
+    ARTIFACT.get_or_init(|| {
+        let plan = FeaturePlan {
+            input_names: vec!["a".into(), "b".into(), "c".into()],
+            steps: vec![PlanStep {
+                name: "g0".into(),
+                op: "mul".into(),
+                parents: vec!["a".into(), "b".into()],
+                params: vec![],
+            }],
+            outputs: vec!["a".into(), "c".into(), "g0".into()],
+        };
+        let config = GbmConfig { n_rounds: 4, ..GbmConfig::miner() };
+        let (train, valid) = (synthetic(5, 200), synthetic(6, 90));
+        SafeArtifact::train(&plan, &OperatorRegistry::standard(), &train, Some(&valid), &config)
+            .expect("toy artifact trains")
+    })
+}
+
+/// Whether `model` scores a row of NaNs within a few seconds.
+fn predicts_in_time(model: GbmModel) -> bool {
+    let (tx, rx) = mpsc::channel();
+    let row = vec![f64::NAN; model.n_features()];
+    let worker = std::thread::spawn(move || tx.send(model.predict_row(&row)));
+    let done = rx.recv_timeout(Duration::from_secs(10)).is_ok();
+    // A worker stuck in a loop cannot be joined; the failed check reports it.
+    if done {
+        let _ = worker.join();
+    }
+    done
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn booster_mutations_fail_typed_or_reach_a_fixed_point(
+        m in (0u8..4, any::<usize>(), 0u8..8),
+    ) {
+        let model = &trained().model;
+        if let Ok(back) = GbmModel::from_text(&mutation::mutate(&model.to_text(), false, m)) {
+            let text = back.to_text();
+            match GbmModel::from_text(&text) {
+                Ok(again) => prop_assert_eq!(again.to_text(), text),
+                Err(e) => return Err(TestCaseError::fail(format!("re-decode failed: {e}"))),
+            }
+            if back.n_features() <= model.n_features() {
+                prop_assert!(predicts_in_time(back), "predict_row did not return");
+            }
+        }
+    }
+
+    #[test]
+    fn artifact_mutations_fail_typed_or_reach_a_fixed_point(
+        m in (0u8..4, any::<usize>(), 0u8..8),
+    ) {
+        let artifact = trained();
+        if let Ok(back) = SafeArtifact::from_text(&mutation::mutate(&artifact.to_text(), true, m)) {
+            let text = back.to_text();
+            match SafeArtifact::from_text(&text) {
+                Ok(again) => prop_assert_eq!(again.to_text(), text),
+                Err(e) => return Err(TestCaseError::fail(format!("re-decode failed: {e}"))),
+            }
+            if back.model.n_features() <= artifact.model.n_features() {
+                prop_assert!(predicts_in_time(back.model), "predict_row did not return");
+            }
+        }
     }
 }

@@ -1,11 +1,13 @@
 #!/usr/bin/env sh
-# Fail if any hardened crate's library code reintroduces unwrap()/expect().
+# Fail if any hardened crate's non-test code reintroduces unwrap()/expect().
 #
-# The hardened crates (safe-data, safe-gbm, safe-ops, safe-core, safe-obs,
-# safe-serve, safe-stats) carry
+# The hardened crates (the libraries safe-data, safe-gbm, safe-ops,
+# safe-core, safe-obs, safe-serve, safe-stats, and the safe-cli binary,
+# which reads untrusted files and daemon requests) carry
 # `#![warn(clippy::unwrap_used, clippy::expect_used)]`; this script promotes
 # those warnings to errors so CI can gate on them. Tests are exempt — each
-# crate allows the lints under #[cfg(test)].
+# crate allows the lints under #[cfg(test)]. safe-cli has no library
+# target, so it is checked with --bins.
 #
 # Usage: scripts/check_panics.sh
 
@@ -25,4 +27,8 @@ cargo clippy \
     -D clippy::unwrap_used \
     -D clippy::expect_used
 
-echo "check_panics: OK — no unwrap/expect in hardened library code"
+cargo clippy -p safe-cli --no-deps --bins --quiet -- \
+    -D clippy::unwrap_used \
+    -D clippy::expect_used
+
+echo "check_panics: OK — no unwrap/expect in hardened library or CLI code"

@@ -3,6 +3,9 @@
 
 use proptest::prelude::*;
 
+#[path = "support/mutation.rs"]
+mod mutation;
+
 use safe::core::plan::{FeaturePlan, PlanStep};
 use safe::data::binning::{bin_column, BinStrategy};
 use safe::ops::registry::OperatorRegistry;
@@ -227,6 +230,40 @@ proptest! {
         text.push_str(&fields.join("\t"));
         text.push('\n');
         let _ = FeaturePlan::from_text(&text);
+    }
+
+    /// A mutated plan is rejected with a typed error, or accepted as a plan
+    /// whose encoding decodes back to the same text.
+    #[test]
+    fn plan_mutations_fail_typed_or_reach_a_fixed_point(
+        params in prop::collection::vec(any::<f64>(), 0..4),
+        m in (0u8..4, any::<usize>(), 0u8..8),
+    ) {
+        let plan = FeaturePlan {
+            input_names: vec!["a".into(), "b".into()],
+            steps: vec![
+                PlanStep {
+                    name: "mul(a,b)".into(),
+                    op: "mul".into(),
+                    parents: vec!["a".into(), "b".into()],
+                    params: vec![],
+                },
+                PlanStep {
+                    name: "z".into(),
+                    op: "zscore".into(),
+                    parents: vec!["mul(a,b)".into()],
+                    params,
+                },
+            ],
+            outputs: vec!["a".into(), "z".into()],
+        };
+        if let Ok(back) = FeaturePlan::from_text(&mutation::mutate(&plan.to_text(), false, m)) {
+            let text = back.to_text();
+            match FeaturePlan::from_text(&text) {
+                Ok(again) => prop_assert_eq!(again.to_text(), text),
+                Err(e) => return Err(TestCaseError::fail(format!("re-decode failed: {e}"))),
+            }
+        }
     }
 }
 
