@@ -41,8 +41,8 @@ pub enum SelectionMode {
     /// OpenFE-style successive halving ([`crate::selection::staged`]):
     /// candidates are scored cheaply on small deterministic row
     /// subsamples, the pool is halved per rung on geometrically growing
-    /// samples, and only the finalists get exact IV, a binned-Pearson
-    /// redundancy scan (`safe_gbm::corr`), and the booster ranking.
+    /// samples, and only the finalists get exact IV, the exact Pearson
+    /// redundancy scan, and the booster ranking.
     /// Non-finalists are eliminated by their staged scores — no full
     /// booster retrain over the whole pool. Deterministic at every thread
     /// count, but *not* bit-identical to [`SelectionMode::Exact`]; AUC
@@ -106,13 +106,12 @@ pub struct SafeConfig {
     /// knob in [`GbmConfig`]; use [`SafeConfig::with_threads`] to set all
     /// three at once.
     pub parallelism: Parallelism,
-    /// Reuse binned `u16` columns for the miner/ranker boosters (and the
-    /// staged redundancy scan) across iterations through a
-    /// [`BinCache`](safe_gbm::binner::BinCache) keyed by stable column
-    /// names. Results are **bit-identical** with the cache on or off
-    /// (`tests/cache_differential.rs` pins this, with `false` as its cold
-    /// side). Default `true`: DESIGN.md §12 has the measurements that
-    /// keep the cache.
+    /// Reuse binned `u16` columns for the miner/ranker boosters across
+    /// iterations through a [`BinCache`](safe_gbm::binner::BinCache) keyed
+    /// by stable column names. Results are **bit-identical** with the cache
+    /// on or off (`tests/cache_differential.rs` pins this, with `false` as
+    /// its cold side). Default `true`: DESIGN.md §12 has the measurements
+    /// that keep the cache.
     pub cache: bool,
     /// Directory for durable iteration checkpoints (`SAFECKPT` files, see
     /// [`crate::checkpoint`]). `None` (the default) disables

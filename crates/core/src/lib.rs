@@ -15,9 +15,8 @@
 //! 5. filter candidates by Information Value > α ([`selection::iv_filter`],
 //!    Algorithm 3),
 //! 6. drop the lower-IV member of every |ρ| > θ pair
-//!    ([`selection::redundancy_filter`], Algorithm 4; under
-//!    [`SelectionMode::Staged`] [`selection::redundancy_filter_binned`]
-//!    on shared bin columns),
+//!    ([`selection::redundancy_filter`], Algorithm 4, in both selection
+//!    modes; [`SelectionMode::Staged`] runs it on the pruner's finalists),
 //! 7. rank survivors by average split gain and keep the best
 //!    ([`selection::rank_and_cap`], Section IV-C3).
 //!

@@ -34,7 +34,7 @@ use crate::config::{GenerationStrategy, SafeConfig, SelectionMode};
 use crate::generate::{generate_features, GeneratedFeature};
 use crate::plan::{FeaturePlan, PlanStep};
 use crate::selection::staged::{staged_prune, StagedConfig};
-use crate::selection::{iv_filter, rank_and_cap, redundancy_filter, redundancy_filter_binned};
+use crate::selection::{iv_filter, rank_and_cap, redundancy_filter};
 
 pub use crate::error::SafeError;
 
@@ -787,7 +787,8 @@ impl Safe {
         Ok(survivors)
     }
 
-    /// Algorithm 4 over the IV survivors (`redundancy-filter`).
+    /// Algorithm 4 over the IV survivors (`redundancy-filter`), the same
+    /// exact scan in both selection modes.
     fn redundancy_stage(
         &self,
         st: &mut IterState<'_>,
@@ -797,22 +798,8 @@ impl Safe {
         let (par, theta) = (self.config.parallelism, self.config.theta);
         let mut g = st.rb.stage(stages::REDUNDANCY);
         g.counter("threads", par.resolve() as u64);
-        let scanned = match self.config.selection {
-            // Exact: f64 Pearson over full columns — the paper's step.
-            SelectionMode::Exact => redundancy_filter(pool, survivors, theta, par)
-                .map_err(|p| SafeError::worker_panic("redundancy", p).chain_string()),
-            // Staged: integer co-occurrence kernel over u16 bin columns at
-            // the ranker's bin budget, shared with the rank-topk booster
-            // through the bin cache.
-            SelectionMode::Staged => {
-                g.counter("binned", 1);
-                let max_bins = self.config.ranker.max_bins;
-                let cache = st.bin_cache.as_mut();
-                redundancy_filter_binned(pool, survivors, theta, max_bins, par, cache)
-                    .map_err(|e| e.to_string())
-            }
-        };
-        let (kept, pairs) = scanned.map_err(|reason| StageFailure::new("redundancy", reason))?;
+        let (kept, pairs) = redundancy_filter(pool, survivors, theta, par)
+            .map_err(|p| StageFailure::panic("redundancy", p))?;
         g.counter("pairs_compared", pairs);
         g.counter("dropped_theta", (survivors.len() - kept.len()) as u64);
         g.set_flow(survivors.len() as u64, kept.len() as u64);

@@ -1,18 +1,16 @@
 //! The three-step feature selection pipeline (Section IV-C).
 //!
 //! Each step has one entry point: [`iv_filter`] (Algorithm 3),
-//! [`redundancy_filter`] (Algorithm 4, exact `f64` Pearson) or
-//! [`redundancy_filter_binned`] (Algorithm 4 on shared `u16` bin columns),
-//! and [`rank_and_cap`] (Section IV-C3). Each takes an explicit
-//! [`Parallelism`] (the ranker carries its own in [`GbmConfig`]) and
-//! returns a captured worker panic or booster failure as an error, so the
-//! caller can degrade the iteration instead of unwinding the run.
+//! [`redundancy_filter`] (Algorithm 4) and [`rank_and_cap`] (Section
+//! IV-C3). Each takes an explicit [`Parallelism`] (the ranker carries its
+//! own in [`GbmConfig`]) and returns a captured worker panic or booster
+//! failure as an error, so the caller can degrade the iteration instead of
+//! unwinding the run.
 //!
 //! [`staged`] adds the successive-halving pruner behind
 //! [`crate::config::SelectionMode::Staged`]: candidates are whittled down
-//! on growing row subsamples before the exact steps run, and the
-//! redundancy scan for that mode runs on shared `u16` binned columns
-//! ([`redundancy_filter_binned`]) instead of full `f64` columns.
+//! on growing row subsamples before the three steps run on the finalists.
+//! Both modes reach Algorithm 4 through the one exact [`redundancy_filter`].
 
 pub mod staged;
 
@@ -20,8 +18,7 @@ use std::sync::OnceLock;
 
 use safe_data::column::{ColumnRead, ColumnView};
 use safe_data::dataset::Dataset;
-use safe_gbm::binner::{BinCache, BinnedDataset};
-use safe_gbm::corr::{binned_pearson, CorrColumn, CorrScratch};
+use safe_gbm::binner::BinCache;
 use safe_gbm::booster::Gbm;
 use safe_gbm::config::GbmConfig;
 use safe_gbm::error::GbmError;
@@ -125,7 +122,7 @@ pub fn redundancy_filter(
 }
 
 /// Survivors sorted by descending IV, ties broken by ascending column
-/// index — the visiting order of both redundancy scans.
+/// index — the visiting order of the redundancy scan.
 fn descending_iv(survivors: &[(usize, f64)]) -> Vec<(usize, f64)> {
     let mut order = survivors.to_vec();
     order.sort_by(|a, b| {
@@ -190,186 +187,6 @@ fn pair_rho(
         Err(e) => panic!("column {b} read failed during redundancy scan: {e}"),
     };
     pearson(ca, cb)
-}
-
-/// Half-width of the |ρ| band around θ inside which
-/// [`redundancy_filter_binned`] falls back to the exact `f64` Pearson.
-/// Sized to cover the binned kernel's documented ±0.02 quantization error
-/// with headroom for heavily missing columns (pairwise deletion over bin
-/// representatives amplifies the error).
-pub const BINNED_THETA_MARGIN: f64 = 0.05;
-
-/// Minimum [`CorrColumn::rep_variance_ratio`] for the binned estimate to
-/// decide a pair at all. A column below the floor lost a visible fraction
-/// of its variance to bin-mean dilution — the signature of a heavy-tailed
-/// candidate whose exact ρ is carried by a few extreme rows the
-/// representatives smear away — and no margin around θ can bound the
-/// resulting error (deviations past 0.5 absolute were measured on
-/// nested-division candidates). Pairs touching such a column always use
-/// the exact `f64` Pearson. Smooth and lossless columns sit at ~1.0, so
-/// the common case keeps the integer kernel.
-pub const BINNED_TRUST_FLOOR: f64 = 0.999;
-
-/// Staged-mode redundancy removal: the same greedy descending-IV scan as
-/// [`redundancy_filter`], but with pair correlations computed by the
-/// integer co-occurrence kernel ([`safe_gbm::corr::binned_pearson`]) over
-/// `u16` bin columns quantized at `max_bins` — shared with the ranking
-/// booster through the [`BinCache`], so the rank-topk stage re-bins
-/// nothing.
-///
-/// The binned statistic is *not* bit-identical to the exact `f64`
-/// `pearson` (see the precision contract in `safe_gbm::corr`), which is
-/// why this function is only reachable under
-/// [`crate::config::SelectionMode::Staged`]. Two guards keep every θ-decision
-/// consistent with the exact kernel: pairs touching a column below
-/// [`BINNED_TRUST_FLOOR`] (bin-mean dilution of outliers — the estimate is
-/// unbounded there) and pairs whose estimate lands within
-/// [`BINNED_THETA_MARGIN`] of θ (quantization wobble) are re-decided with
-/// the exact `f64` Pearson, so neither failure mode can flip a keep/drop
-/// decision and cascade through the greedy scan.
-///
-/// Like the exact scan, each candidate's comparisons against the kept set
-/// fan out across the thread budget once the kept set is large enough to
-/// amortize a per-chunk scratch table ([`PAR_SCAN_MIN`]); below that the
-/// scan stays serial on one persistent scratch. Every pair decision is a
-/// pure function of the two columns, so the kept set is identical at any
-/// thread count.
-///
-/// Returns surviving column indices in descending-IV order plus the number
-/// of pairs examined, mirroring [`redundancy_filter`].
-pub fn redundancy_filter_binned(
-    train: &Dataset,
-    survivors: &[(usize, f64)],
-    theta: f64,
-    max_bins: usize,
-    par: Parallelism,
-    bin_cache: Option<&mut BinCache>,
-) -> Result<(Vec<usize>, u64), BinnedRedundancyError> {
-    let order = descending_iv(survivors);
-    let order_idx: Vec<usize> = order.iter().map(|&(i, _)| i).collect();
-    let sub = train.select_columns(&order_idx)?;
-    let binned = match bin_cache {
-        Some(cache) => BinnedDataset::fit_cached(&sub, max_bins, par, cache),
-        None => BinnedDataset::fit(&sub, max_bins, par),
-    };
-    // Materialize the survivor columns: resident columns are borrowed
-    // zero-copy; chunked columns are gathered once into owned scratch (a
-    // documented staged-mode residency caveat — this scan touches every
-    // survivor column repeatedly, so streaming re-reads would thrash the
-    // chunk cache).
-    let views: Vec<ColumnView<'_>> = sub.column_views().collect();
-    let mut gathered: Vec<Vec<f64>> = Vec::new();
-    let mut slots: Vec<Option<usize>> = Vec::with_capacity(views.len());
-    for view in &views {
-        if view.as_slice().is_some() {
-            slots.push(None);
-        } else {
-            let mut buf = Vec::new();
-            view.gather_into(&mut buf)?;
-            slots.push(Some(gathered.len()));
-            gathered.push(buf);
-        }
-    }
-    let raw_cols: Vec<&[f64]> = views
-        .iter()
-        .zip(&slots)
-        .map(|(view, slot)| match slot {
-            Some(g) => gathered[*g].as_slice(),
-            None => view.as_slice().unwrap_or(&[]),
-        })
-        .collect();
-    let corr_cols: Vec<CorrColumn> = (0..sub.n_cols())
-        .map(|f| CorrColumn::new(binned.bins(f), binned.mapper(f), raw_cols[f]))
-        .collect();
-    // Exact fast path for NaN-free pairs: with every row shared, the
-    // pairwise-deletion means and variance sums inside `pearson` collapse
-    // to per-column constants. Precomputing them — and the centered
-    // values — in the same accumulation order reproduces `pearson`
-    // bitwise (f64 addition chains are never reassociated) while
-    // reducing each pair to a single centered dot product.
-    let moments: Vec<Option<ExactMoments>> =
-        raw_cols.iter().map(|col| ExactMoments::of(col)).collect();
-    // For pairs with missing cells the kernel choice is layered: the
-    // binned estimate decides the pair only when it is known to track
-    // exact ρ — both columns must retain their variance through the bin
-    // representatives (outlier-diluted columns deviate unboundedly — the
-    // nested division shapes), and the estimate must land clear of the
-    // ±BINNED_THETA_MARGIN ambiguity band around θ (quantization wobble
-    // on smooth data is documented at ±0.02). Everything else is
-    // re-decided with the exact f64 Pearson, so no path can flip a
-    // keep/drop decision and cascade through the greedy scan.
-    let decide = |candidate: usize, k: usize, scratch: &mut CorrScratch| -> bool {
-        if let (Some(a), Some(b)) = (&moments[candidate], &moments[k]) {
-            return a.abs_rho(b) > theta;
-        }
-        let trusted = corr_cols[candidate].rep_variance_ratio() >= BINNED_TRUST_FLOOR
-            && corr_cols[k].rep_variance_ratio() >= BINNED_TRUST_FLOOR;
-        if trusted {
-            let approx = binned_pearson(&corr_cols[candidate], &corr_cols[k], scratch).abs();
-            if (approx - theta).abs() > BINNED_THETA_MARGIN {
-                return approx > theta;
-            }
-        }
-        pearson(raw_cols[candidate], raw_cols[k]).abs() > theta
-    };
-    let mut scratch = CorrScratch::new();
-    let mut pairs_compared: u64 = 0;
-    let mut kept: Vec<usize> = Vec::new(); // indices into `order`
-    for candidate in 0..order.len() {
-        pairs_compared += kept.len() as u64;
-        let redundant = if kept.len() < PAR_SCAN_MIN || par.resolve() <= 1 {
-            kept.iter().any(|&k| decide(candidate, k, &mut scratch))
-        } else {
-            let hits = safe_stats::par::try_par_chunks(par, kept.len(), |range| {
-                let mut scratch = CorrScratch::new();
-                range.map(|i| kept[i]).any(|k| decide(candidate, k, &mut scratch))
-            })?;
-            hits.into_iter().any(|h| h)
-        };
-        if !redundant {
-            kept.push(candidate);
-        }
-    }
-    Ok((kept.into_iter().map(|i| order[i].0).collect(), pairs_compared))
-}
-
-/// Kept-set size below which [`redundancy_filter_binned`] scans serially:
-/// a parallel chunk pays for a fresh scratch table, so fanning out only
-/// earns its keep once each worker amortizes it over enough pairs.
-pub const PAR_SCAN_MIN: usize = 64;
-
-/// Error from [`redundancy_filter_binned`]: the finalist column projection
-/// or binning failed, or a parallel scan worker panicked. Both degrade the
-/// iteration at the call site rather than unwinding the run.
-#[derive(Debug, Clone)]
-pub enum BinnedRedundancyError {
-    /// Dataset projection / binning failure.
-    Data(safe_data::error::DataError),
-    /// A redundancy-scan worker panicked.
-    Panic(ParPanic),
-}
-
-impl std::fmt::Display for BinnedRedundancyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BinnedRedundancyError::Data(e) => write!(f, "{e}"),
-            BinnedRedundancyError::Panic(p) => write!(f, "redundancy worker panicked: {p}"),
-        }
-    }
-}
-
-impl std::error::Error for BinnedRedundancyError {}
-
-impl From<safe_data::error::DataError> for BinnedRedundancyError {
-    fn from(e: safe_data::error::DataError) -> Self {
-        BinnedRedundancyError::Data(e)
-    }
-}
-
-impl From<ParPanic> for BinnedRedundancyError {
-    fn from(p: ParPanic) -> Self {
-        BinnedRedundancyError::Panic(p)
-    }
 }
 
 /// Section IV-C3: rank the surviving candidates by average split gain of a
@@ -547,9 +364,9 @@ mod tests {
 
     #[test]
     fn exact_moments_fast_path_is_bitwise_pearson() {
-        // The staged scan's NaN-free fast path must reproduce the two-pass
-        // `pearson` to the last bit — it caches the same accumulations, it
-        // does not approximate them.
+        // The redundancy scan's NaN-free fast path must reproduce the
+        // two-pass `pearson` to the last bit — it caches the same
+        // accumulations, it does not approximate them.
         let mut state = 0x5DEECE66Du64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -562,7 +379,7 @@ mod tests {
                 .map(|&v| 0.3 * v + next()) // correlated but not degenerate
                 .collect();
             let (ma, mb) = (ExactMoments::of(&x).unwrap(), ExactMoments::of(&y).unwrap());
-            let fast = ma.abs_rho(&mb);
+            let fast = ma.rho(&mb).abs();
             let exact = pearson(&x, &y).abs();
             assert_eq!(fast.to_bits(), exact.to_bits(), "n={n}: {fast} vs {exact}");
         }
@@ -570,7 +387,7 @@ mod tests {
         let c = vec![3.0; 50];
         let v: Vec<f64> = (0..50).map(|_| next()).collect();
         let (mc, mv) = (ExactMoments::of(&c).unwrap(), ExactMoments::of(&v).unwrap());
-        assert_eq!(mc.abs_rho(&mv).to_bits(), pearson(&c, &v).abs().to_bits());
+        assert_eq!(mc.rho(&mv).abs().to_bits(), pearson(&c, &v).abs().to_bits());
         // Columns with missing cells are excluded from the fast path.
         assert!(ExactMoments::of(&[1.0, f64::NAN, 2.0]).is_none());
         assert!(ExactMoments::of(&[1.0]).is_none());

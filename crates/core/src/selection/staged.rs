@@ -65,9 +65,9 @@ impl StagedConfig {
     /// half the pool, clamped below by 128 (pools that small are cheap to
     /// score exactly, and cutting them was measured to evict candidates
     /// the exact rank stage puts in its plan). Halving once is
-    /// deliberately conservative: the binned redundancy pass and the
-    /// shrunken rank retrain carry the speedup, while the gentle cut keeps
-    /// downstream AUC inside the ±0.005 parity band
+    /// deliberately conservative: exact scans over fewer finalists and the
+    /// skipped or shrunken rank retrain carry the speedup, while the gentle
+    /// cut keeps downstream AUC inside the ±0.005 parity band
     /// (`tests/selection_differential.rs` — a quarter-pool target was
     /// measured past the band on NaN-heavy data). The target is
     /// deliberately *not* clamped by the rank-topk `cap`: the exact stages

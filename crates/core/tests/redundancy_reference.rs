@@ -7,11 +7,13 @@
 //! thing through a moment cache for NaN-free pairs, a pairwise-deletion
 //! branch for pairs with missing cells, and parallel pair tests. It must
 //! keep the same columns in the same order and count the same pairs, at
-//! any thread count.
+//! any thread count, whether the columns are resident or chunked (chunked
+//! columns are gathered per pair).
 
 use proptest::prelude::*;
 
 use safe_core::selection::redundancy_filter;
+use safe_data::chunk::ChunkOptions;
 use safe_data::dataset::Dataset;
 use safe_stats::par::Parallelism;
 use safe_stats::pearson::pearson;
@@ -77,11 +79,15 @@ proptest! {
         nan_per_10 in 0u64..5,
         seed in any::<u64>(),
         theta_idx in 0usize..4,
+        chunked in any::<bool>(),
     ) {
         let theta = [0.3, 0.5, 0.8, 0.95][theta_idx];
         let cols = columns(n_rows, n_cols, nan_per_10, seed);
         let names = (0..n_cols).map(|c| format!("c{c}")).collect();
-        let data = Dataset::from_columns(names, cols.clone(), None).unwrap();
+        let mut data = Dataset::from_columns(names, cols.clone(), None).unwrap();
+        if chunked {
+            data = data.to_chunked(ChunkOptions::in_memory(3)).unwrap();
+        }
         // Three IV levels for up to a dozen columns: ties are the norm.
         // Survivors are listed in reverse so the scan must do its own sort.
         let iv = |c: usize| [0.2, 0.4, 0.6][(seed.wrapping_add(7 * c as u64) % 3) as usize];
@@ -90,7 +96,13 @@ proptest! {
         let want = reference(&cols, &survivors, theta);
         for threads in [1, 4] {
             let got = redundancy_filter(&data, &survivors, theta, Parallelism::new(threads));
-            prop_assert_eq!(got.unwrap(), want.clone(), "threads = {}", threads);
+            prop_assert_eq!(
+                got.unwrap(),
+                want.clone(),
+                "threads = {}, chunked = {}",
+                threads,
+                chunked
+            );
         }
     }
 }

@@ -39,7 +39,6 @@
 pub mod binner;
 pub mod booster;
 pub mod codec;
-pub mod corr;
 pub mod dump;
 pub mod config;
 pub mod error;
@@ -50,7 +49,6 @@ pub mod loss;
 pub mod tree;
 
 pub use binner::{BinCache, BinMapper, BinnedDataset};
-pub use corr::{binned_pearson, CorrColumn, CorrScratch};
 pub use booster::{Gbm, GbmModel};
 pub use error::GbmError;
 pub use grow::GrowStats;

@@ -84,7 +84,9 @@ impl FittedClassifier for FittedKnn {
         let out = par_map(self.parallelism, queries.len(), |qi| {
             let q = &queries[qi];
             // Max-heap of (dist, label) capped at k via simple insertion —
-            // k is tiny (5), so linear maintenance beats a real heap.
+            // k is tiny (5), so linear maintenance beats a real heap. The
+            // scaler maps non-finite cells to 0, so distances are finite
+            // and `total_cmp` orders them as `<` does.
             let mut nearest: Vec<(f64, u8)> = Vec::with_capacity(k + 1);
             for (row, &label) in self.train_rows.iter().zip(&self.labels) {
                 let mut d = 0.0;
@@ -94,10 +96,10 @@ impl FittedClassifier for FittedKnn {
                 }
                 if nearest.len() < k {
                     nearest.push((d, label));
-                    nearest.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+                    nearest.sort_by(|a, b| a.0.total_cmp(&b.0));
                 } else if d < nearest[k - 1].0 {
                     nearest[k - 1] = (d, label);
-                    nearest.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+                    nearest.sort_by(|a, b| a.0.total_cmp(&b.0));
                 }
             }
             let pos = nearest.iter().filter(|(_, l)| *l == 1).count();

@@ -21,6 +21,8 @@
 //! only needs ranking), and are deterministic under a fixed seed.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod adaboost;
 pub mod classifier;

@@ -13,11 +13,11 @@
 //!   hand-rolled MPMC [`queue::BatchQueue`], and the loaded artifact can
 //!   be **hot-swapped atomically** with a monotonic version stamped on
 //!   every [`ScoreResponse`].
-//! - [`ScorerHandle`] — the narrow offline surface for one-shot batch
-//!   scoring. Batches fan out across `safe_stats::par` with fixed-order
-//!   merging, so output is **bit-identical at any thread count** — and
-//!   the daemon runs the identical batch kernel, so streamed and offline
-//!   scores agree bit-for-bit.
+//! - [`ScorerHandle`] — the offline scorer for one-shot batch scoring.
+//!   Batches fan out across `safe_stats::par` with fixed-order merging, so
+//!   output is **bit-identical at any thread count** — and the daemon's
+//!   workers hold a handle and run its batch kernel, so streamed and
+//!   offline scores agree bit-for-bit.
 //! - [`ScoreReport`] / [`ServiceReport`] — volume, batching, threading,
 //!   and latency quantiles, mirrored to the `safe-obs` sink.
 //!

@@ -52,13 +52,15 @@ pub struct ScoreReport {
     pub batch_p99_us: u64,
 }
 
-/// Batch scorer for a saved [`SafeArtifact`].
+/// Offline batch scorer for a saved [`SafeArtifact`].
 ///
 /// Construction compiles the plan once; every call then runs
 /// allocation-free per row. See the module docs for the determinism
-/// contract.
+/// contract. [`crate::ScoreService`] holds one handle per loaded artifact
+/// and its workers run the same crate-private batch kernel, so streamed
+/// and offline scores are bit-identical by construction.
 #[derive(Debug)]
-pub struct Scorer {
+pub struct ScorerHandle {
     compiled: CompiledPlan,
     model: GbmModel,
     batch_size: usize,
@@ -66,20 +68,16 @@ pub struct Scorer {
     sink: SinkHandle,
 }
 
-impl Scorer {
+impl ScorerHandle {
     /// Compile `artifact` against `registry` and validate that the booster
     /// and plan agree on the feature count.
-    ///
-    /// Sealed: external callers construct scoring surfaces through
-    /// [`ScorerHandle`] (offline batches) or [`crate::ScoreService`]
-    /// (streamed requests); the raw executor is crate-internal.
-    pub(crate) fn new(
+    pub fn new(
         artifact: &SafeArtifact,
         registry: &OperatorRegistry,
-    ) -> Result<Scorer, ServeError> {
+    ) -> Result<ScorerHandle, ServeError> {
         artifact.validate()?;
         let compiled = artifact.plan.compile(registry)?;
-        Ok(Scorer {
+        Ok(ScorerHandle {
             compiled,
             model: artifact.model.clone(),
             batch_size: DEFAULT_BATCH_SIZE,
@@ -88,7 +86,8 @@ impl Scorer {
         })
     }
 
-    /// Rows per micro-batch (values below 1 are clamped to 1).
+    /// Rows per micro-batch (values below 1 are clamped to 1). Never
+    /// changes output bits.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size.max(1);
         self
@@ -217,7 +216,7 @@ impl Scorer {
 
     /// Score a dataset: columns are located by the artifact's input schema
     /// (extra columns are ignored; order does not matter), then routed
-    /// through [`Scorer::score_rows`].
+    /// through [`ScorerHandle::score_rows`].
     pub fn score_dataset(&self, ds: &Dataset) -> Result<(Vec<f64>, ScoreReport), ServeError> {
         let n_cols = self.compiled.n_inputs();
         let cols: Vec<&[f64]> = self
@@ -253,75 +252,6 @@ impl Scorer {
     }
 }
 
-/// Narrow public handle for **offline** batch scoring over a saved
-/// [`SafeArtifact`].
-///
-/// This is the sealed construction surface for the internal [`Scorer`]
-/// executor: external code scores either through a `ScorerHandle` (whole
-/// batches, one call) or through [`crate::ScoreService`] (streamed
-/// requests, long-lived daemon) — both run the identical batch kernel, so
-/// their outputs are bit-identical by construction. The handle
-/// intentionally exposes no executor internals; configure it with the
-/// builder methods and call [`ScorerHandle::score_rows`] /
-/// [`ScorerHandle::score_dataset`].
-#[derive(Debug)]
-pub struct ScorerHandle {
-    inner: Scorer,
-}
-
-impl ScorerHandle {
-    /// Compile `artifact` against `registry` and validate that the booster
-    /// and plan agree on the feature count.
-    pub fn new(
-        artifact: &SafeArtifact,
-        registry: &OperatorRegistry,
-    ) -> Result<ScorerHandle, ServeError> {
-        Ok(ScorerHandle { inner: Scorer::new(artifact, registry)? })
-    }
-
-    /// Rows per micro-batch (values below 1 are clamped to 1). Never
-    /// changes output bits.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.inner = self.inner.with_batch_size(batch_size);
-        self
-    }
-
-    /// Worker budget (`0` = auto-detect, `1` = serial). Any setting yields
-    /// bit-identical scores.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.inner = self.inner.with_threads(threads);
-        self
-    }
-
-    /// Telemetry sink: each call emits a `score` span with `rows`,
-    /// `batches`, and `threads` counters. Never influences scores.
-    pub fn with_sink(mut self, sink: SinkHandle) -> Self {
-        self.inner = self.inner.with_sink(sink);
-        self
-    }
-
-    /// Number of raw input values each row must carry.
-    pub fn n_inputs(&self) -> usize {
-        self.inner.n_inputs()
-    }
-
-    /// Score a row-major flat batch (`n_cols` values per row, aligned with
-    /// the artifact's input schema). See [`Scorer::score_rows`].
-    pub fn score_rows(
-        &self,
-        rows: &[f64],
-        n_cols: usize,
-    ) -> Result<(Vec<f64>, ScoreReport), ServeError> {
-        self.inner.score_rows(rows, n_cols)
-    }
-
-    /// Score a dataset: columns are located by the artifact's input schema
-    /// (extra columns are ignored; order does not matter).
-    pub fn score_dataset(&self, ds: &Dataset) -> Result<(Vec<f64>, ScoreReport), ServeError> {
-        self.inner.score_dataset(ds)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,9 +259,9 @@ mod tests {
     use safe_obs::{EventKind, MemorySink};
     use std::sync::Arc;
 
-    fn scorer(seed: u64) -> (SafeArtifact, Scorer) {
+    fn scorer(seed: u64) -> (SafeArtifact, ScorerHandle) {
         let artifact = toy_artifact(seed);
-        let scorer = Scorer::new(&artifact, &OperatorRegistry::standard()).unwrap();
+        let scorer = ScorerHandle::new(&artifact, &OperatorRegistry::standard()).unwrap();
         (artifact, scorer)
     }
 
@@ -491,8 +421,12 @@ mod tests {
         assert_eq!(handle.n_inputs(), 3);
         let (_, valid) = toy_split(29);
         let (via_handle, report) = handle.score_dataset(&valid).unwrap();
+        // The daemon's workers call the batch kernel directly.
         let (_, direct) = scorer(29);
-        let (bits, _) = direct.score_dataset(&valid).unwrap();
+        let flat: Vec<f64> = (0..valid.n_rows()).flat_map(|i| valid.row(i)).collect();
+        let (mut features, mut bits) = (Vec::new(), Vec::new());
+        direct.execute_batch(&flat, direct.n_inputs(), &mut features, &mut bits).unwrap();
+        assert_eq!(bits.len(), via_handle.len());
         for (i, (a, b)) in via_handle.iter().zip(&bits).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
         }

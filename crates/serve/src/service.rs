@@ -51,7 +51,7 @@ use safe_stats::par::Parallelism;
 use crate::artifact::SafeArtifact;
 use crate::error::ServeError;
 use crate::queue::{BatchQueue, QueueStats};
-use crate::scorer::Scorer;
+use crate::scorer::ScorerHandle;
 
 /// Default micro-batch coalescing cap for the worker pool.
 pub const DEFAULT_MAX_BATCH: usize = 256;
@@ -201,7 +201,7 @@ fn micros(d: std::time::Duration) -> u64 {
 /// invalidates an in-flight batch — the old snapshot lives until its last
 /// user drops it.
 struct Loaded {
-    scorer: Scorer,
+    scorer: ScorerHandle,
     version: u64,
 }
 
@@ -217,7 +217,7 @@ struct ArtifactCell {
 }
 
 impl ArtifactCell {
-    fn new(scorer: Scorer) -> Self {
+    fn new(scorer: ScorerHandle) -> Self {
         ArtifactCell {
             slot: Mutex::new(Arc::new(Loaded { scorer, version: 1 })),
             version: AtomicU64::new(1),
@@ -238,7 +238,7 @@ impl ArtifactCell {
     /// assigned. The version counter is read from the displaced snapshot
     /// under the same mutex, so concurrent installs serialize and the
     /// sequence stays strictly monotonic.
-    fn install(&self, scorer: Scorer) -> u64 {
+    fn install(&self, scorer: ScorerHandle) -> u64 {
         let mut g = lock(&self.slot);
         let version = g.version + 1;
         *g = Arc::new(Loaded { scorer, version });
@@ -314,7 +314,7 @@ impl ScoreService {
         registry: &OperatorRegistry,
         config: ServiceConfig,
     ) -> Result<ScoreService, ServeError> {
-        let scorer = Scorer::new(artifact, registry)?;
+        let scorer = ScorerHandle::new(artifact, registry)?;
         let n_inputs = scorer.n_inputs();
         let n_workers = Parallelism::new(config.workers).resolve().max(1);
         let shared = Arc::new(Shared {
@@ -381,7 +381,7 @@ impl ScoreService {
                 self.input_schema, artifact.input_schema
             )));
         }
-        let scorer = Scorer::new(artifact, registry)?;
+        let scorer = ScorerHandle::new(artifact, registry)?;
         let version = self.shared.cell.install(scorer);
         self.shared.stats.swaps.fetch_add(1, Ordering::Relaxed);
         Ok(version)
@@ -565,7 +565,6 @@ fn worker_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scorer::ScorerHandle;
     use crate::testutil::{toy_artifact, toy_split};
     use safe_obs::{EventKind, MemorySink};
 

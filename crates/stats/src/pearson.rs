@@ -87,8 +87,8 @@ pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
 }
 
 /// Precomputed Pearson moments of one NaN-free column — the bitwise-exact
-/// moment cache behind both the staged redundancy scan and exact-mode
-/// selection.
+/// moment cache behind the redundancy scan (Algorithm 4) in both selection
+/// modes.
 ///
 /// [`pearson`] deletes rows pairwise, so its means and variance sums
 /// normally depend on *both* columns of a pair. When neither column has a
@@ -144,11 +144,6 @@ impl ExactMoments {
             num += ca * cb;
         }
         (num / (self.dxx.sqrt() * other.dxx.sqrt())).clamp(-1.0, 1.0)
-    }
-
-    /// `|pearson(a, b)|`, bitwise-equal to the two-pass routine.
-    pub fn abs_rho(&self, other: &ExactMoments) -> f64 {
-        self.rho(other).abs()
     }
 }
 
@@ -281,7 +276,7 @@ mod tests {
                     "pair ({i},{j}) signed rho bits differ"
                 );
                 assert_eq!(
-                    moments[i].abs_rho(&moments[j]).to_bits(),
+                    moments[i].rho(&moments[j]).abs().to_bits(),
                     two_pass.abs().to_bits(),
                 );
             }

@@ -4,9 +4,12 @@
 # that never mentions the flag (exact is the default and is pinned to the
 # seed pipeline), (2) `--selection staged` must fit successfully and
 # produce a non-empty plan, (3) an invalid mode must be rejected as a
-# usage error (exit 2), and (4) the bench regression gate must cover the
+# usage error (exit 2), (4) the bench regression gate must cover the
 # `selection` section of BENCH_pipeline.json — self-compare passes, an
-# injected slowdown of the staged row trips exit code 8.
+# injected slowdown of the staged row trips exit code 8 — and (5) the
+# three suites that pin selection pass: the exact-vs-staged differential,
+# the staged pruner's properties, and the redundancy scan's naive
+# reference.
 #
 # Usage: scripts/check_selection.sh
 
@@ -78,4 +81,9 @@ if [ "$code" -ne 8 ]; then
     exit 1
 fi
 
-echo "check_selection: OK — exact pinned, staged fits, flag validated, bench-diff gates"
+# 5. The selection suites.
+echo "check_selection: selection suites"
+cargo test --quiet --test selection_differential
+cargo test --quiet -p safe-core --test proptest_staged --test redundancy_reference
+
+echo "check_selection: OK — exact pinned, staged fits, flag validated, bench-diff gates, suites pass"
