@@ -77,9 +77,8 @@ struct Candidate {
 
 impl AutoLearn {
     /// Stage 1+2: mine associated pairs and generate regression features.
-    fn generate(&self, train: &Dataset, labels: &[u8]) -> Vec<Candidate> {
-        let m = train.n_cols();
-        let names: Vec<String> = train.feature_names().iter().map(|s| s.to_string()).collect();
+    fn generate(&self, cols: &[&[f64]], names: &[String], labels: &[u8]) -> Vec<Candidate> {
+        let m = cols.len();
         // Ordered pairs, scored in parallel; weakly-associated pairs skipped
         // (AutoLearn's pair-mining stage).
         let pairs: Vec<(usize, usize)> = (0..m)
@@ -87,8 +86,7 @@ impl AutoLearn {
             .collect();
         let per_pair: Vec<Vec<Candidate>> =
             par_map_slice(self.parallelism, &pairs, |&(i, j)| {
-                let a = train.column(i).expect("in range");
-                let b = train.column(j).expect("in range");
+                let (a, b) = (cols[i], cols[j]);
                 let linear = pearson(a, b).abs();
                 let squared: Vec<f64> = a.iter().map(|&x| x * x).collect();
                 let curved = pearson(&squared, b).abs();
@@ -179,15 +177,16 @@ impl FeatureEngineer for AutoLearn {
         let names: Vec<String> = train.feature_names().iter().map(|s| s.to_string()).collect();
         let m = names.len();
         let cap = self.cap_multiplier * m;
+        let cols = crate::feature_columns(train)?;
 
-        let mut candidates = self.generate(train, &labels);
+        let mut candidates = self.generate(&cols, &names, &labels);
         // Originals always compete in the final ranking (the AutoLearn paper
         // appends generated features to the original space).
         for (f, name) in names.iter().enumerate() {
             candidates.push(Candidate {
                 step: None,
                 name: name.clone(),
-                values: train.column(f).expect("in range").to_vec(),
+                values: cols[f].to_vec(),
             });
         }
         let kept = self.select(candidates, &labels, cap);

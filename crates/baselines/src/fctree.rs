@@ -68,7 +68,8 @@ impl FcTree {
     /// Draw one random construction over the original features.
     fn draw_candidate(
         &self,
-        train: &Dataset,
+        cols: &[&[f64]],
+        names: &[String],
         labels: &[u8],
         rng: &mut StdRng,
     ) -> Option<Constructed> {
@@ -77,23 +78,17 @@ impl FcTree {
             return None;
         }
         let op = &ops[rng.gen_range(0..ops.len())];
-        let m = train.n_cols();
+        let m = cols.len();
         if op.arity() > m {
             return None;
         }
         let mut parents: Vec<usize> = (0..m).collect();
         parents.shuffle(rng);
         parents.truncate(op.arity());
-        let cols: Vec<&[f64]> = parents
-            .iter()
-            .map(|&f| train.column(f).expect("in range"))
-            .collect();
-        let fitted = op.fit(&cols, Some(labels)).ok()?;
-        let values = fitted.apply(&cols);
-        let parent_names: Vec<String> = parents
-            .iter()
-            .map(|&f| train.meta()[f].name.clone())
-            .collect();
+        let inputs: Vec<&[f64]> = parents.iter().map(|&f| cols[f]).collect();
+        let fitted = op.fit(&inputs, Some(labels)).ok()?;
+        let values = fitted.apply(&inputs);
+        let parent_names: Vec<String> = parents.iter().map(|&f| names[f].clone()).collect();
         let name = format!("{}({})", op.name(), parent_names.join(","));
         Some(Constructed {
             step: PlanStep {
@@ -120,7 +115,7 @@ impl FcTree {
         if pairs.len() < 2 {
             return (0.0, f64::NAN);
         }
-        pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+        pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
         let total_pos: usize = pairs.iter().filter(|(_, y)| *y == 1).count();
         let total = pairs.len();
         let total_neg = total - total_pos;
@@ -155,7 +150,8 @@ impl FcTree {
     #[allow(clippy::too_many_arguments)]
     fn grow(
         &self,
-        train: &Dataset,
+        cols: &[&[f64]],
+        names: &[String],
         labels: &[u8],
         rows: Vec<usize>,
         depth: usize,
@@ -175,8 +171,7 @@ impl FcTree {
         let mut best_threshold = f64::NAN;
         let mut best_col: Option<Vec<f64>> = None;
         let mut best_step: Option<PlanStep> = None;
-        for f in 0..train.n_cols() {
-            let col = train.column(f).expect("in range");
+        for &col in cols {
             let (gain, threshold) = Self::best_split(col, &rows, labels, self.beta);
             if gain > best_gain {
                 best_gain = gain;
@@ -187,7 +182,7 @@ impl FcTree {
         }
         // Constructed candidates.
         for _ in 0..self.ne {
-            if let Some(c) = self.draw_candidate(train, labels, rng) {
+            if let Some(c) = self.draw_candidate(cols, names, labels, rng) {
                 let (gain, threshold) = Self::best_split(&c.values, &rows, labels, self.beta);
                 if gain > best_gain {
                     best_gain = gain;
@@ -212,8 +207,8 @@ impl FcTree {
         if left.is_empty() || right.is_empty() {
             return;
         }
-        self.grow(train, labels, left, depth + 1, rng, chosen);
-        self.grow(train, labels, right, depth + 1, rng, chosen);
+        self.grow(cols, names, labels, left, depth + 1, rng, chosen);
+        self.grow(cols, names, labels, right, depth + 1, rng, chosen);
     }
 }
 
@@ -234,12 +229,14 @@ impl FeatureEngineer for FcTree {
             return Err("FCTree requires a non-empty dataset".into());
         }
         let names: Vec<String> = train.feature_names().iter().map(|s| s.to_string()).collect();
+        let cols = crate::feature_columns(train)?;
         let m = names.len();
         let cap = self.cap_multiplier * m;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut chosen: Vec<(PlanStep, Vec<f64>)> = Vec::new();
         self.grow(
-            train,
+            &cols,
+            &names,
             labels,
             (0..train.n_rows()).collect(),
             0,
@@ -250,13 +247,7 @@ impl FeatureEngineer for FcTree {
         // Final reduction to 2M by information gain (paper protocol), over
         // originals + constructions chosen at internal nodes.
         let mut scored: Vec<(f64, String, Option<PlanStep>)> = (0..m)
-            .map(|f| {
-                (
-                    ig_of(train.column(f).expect("in range"), labels, self.beta),
-                    names[f].clone(),
-                    None,
-                )
-            })
+            .map(|f| (ig_of(cols[f], labels, self.beta), names[f].clone(), None))
             .collect();
         for (step, values) in chosen {
             scored.push((ig_of(&values, labels, self.beta), step.name.clone(), Some(step)));

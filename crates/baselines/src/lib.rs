@@ -25,6 +25,8 @@
 //! harness treats every method identically.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod autolearn;
 pub mod fctree;
@@ -33,3 +35,48 @@ pub mod tfc;
 pub use autolearn::AutoLearn;
 pub use fctree::FcTree;
 pub use tfc::Tfc;
+
+use safe_data::dataset::Dataset;
+
+/// Every feature column of `train` as a slice. The baselines work on raw
+/// columns, so a chunked dataset is an `Err` from `engineer`, not a panic.
+fn feature_columns(train: &Dataset) -> Result<Vec<&[f64]>, String> {
+    (0..train.n_cols())
+        .map(|f| train.column(f).map_err(|e| e.to_string()))
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use safe_core::engineer::FeatureEngineer;
+    use safe_data::chunk::ChunkOptions;
+
+    use super::*;
+
+    #[test]
+    fn chunked_input_is_an_error_not_a_panic() {
+        let a: Vec<f64> = (0..64).map(|i| f64::from(i % 7) - 3.0).collect();
+        let b: Vec<f64> = (0..64).map(|i| f64::from(i % 5) - 2.0).collect();
+        let labels = a
+            .iter()
+            .zip(&b)
+            .map(|(x, y)| u8::from(x * y > 0.0))
+            .collect();
+        let ds = Dataset::from_columns(vec!["a".into(), "b".into()], vec![a, b], Some(labels))
+            .unwrap()
+            .to_chunked(ChunkOptions::in_memory(16))
+            .unwrap();
+        let engineers: [&dyn FeatureEngineer; 3] =
+            [&Tfc::default(), &FcTree::default(), &AutoLearn::default()];
+        for engineer in engineers {
+            let err = engineer
+                .engineer(&ds, None)
+                .expect_err(engineer.method_name());
+            assert!(
+                err.contains("column 'a' is chunked"),
+                "{}: {err}",
+                engineer.method_name()
+            );
+        }
+    }
+}

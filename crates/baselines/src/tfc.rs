@@ -127,11 +127,12 @@ impl FeatureEngineer for Tfc {
         }
         let cap = self.cap_multiplier * m;
         let names: Vec<String> = train.feature_names().iter().map(|s| s.to_string()).collect();
+        let cols = crate::feature_columns(train)?;
 
         // Score the originals.
         let mut scored: Vec<Scored> = (0..m)
             .map(|f| Scored {
-                ig: ig_of(train.column(f).expect("in range"), labels, self.beta),
+                ig: ig_of(cols[f], labels, self.beta),
                 step: None,
                 name: names[f].clone(),
             })
@@ -144,12 +145,9 @@ impl FeatureEngineer for Tfc {
             let candidates: Vec<Option<Scored>> =
                 par_map(self.parallelism, tuples.len(), |t| {
                     let tuple = &tuples[t];
-                    let cols: Vec<&[f64]> = tuple
-                        .iter()
-                        .map(|&f| train.column(f).expect("in range"))
-                        .collect();
-                    let fitted = op.fit(&cols, Some(labels)).ok()?;
-                    let values = fitted.apply(&cols);
+                    let inputs: Vec<&[f64]> = tuple.iter().map(|&f| cols[f]).collect();
+                    let fitted = op.fit(&inputs, Some(labels)).ok()?;
+                    let values = fitted.apply(&inputs);
                     let ig = ig_of(&values, labels, self.beta);
                     let parents: Vec<String> =
                         tuple.iter().map(|&f| names[f].clone()).collect();

@@ -83,9 +83,9 @@ TELEMETRY:
                        --format chrome validates a --trace-chrome JSON file
 
 METRICS & PROFILING:
-  --metrics-prom PATH  write fit metrics (counters, gauges, latency
-                       histograms with p50/p95/p99) in Prometheus text
-                       exposition format
+  --metrics-prom PATH  write fit metrics (latency histograms per stage,
+                       iteration, boosting round and checkpoint write) in
+                       Prometheus text exposition format
   --trace-chrome PATH  write the event stream as Chrome trace-event JSON
                        (load in Perfetto: ui.perfetto.dev, 'Open trace')
   --flame-folded PATH  write folded stacks (stage;substage self_us) for
@@ -411,14 +411,9 @@ fn fit(args: &Args, resume: bool) -> Result<(), CliError> {
     if let Some(mem) = &mem_sink {
         let events = mem.events();
         if let Some(path) = args.get("metrics-prom") {
-            // Builder-side histograms (stage_us, iteration_us) live in the
-            // report; sink-only observations (gbm_round_us, ckpt_write_us,
-            // ...) only exist in the event stream. The exposition carries
-            // both — the name sets are disjoint by construction.
-            let snapshot = outcome
-                .report
-                .metrics
-                .merge(&safe_obs::MetricsSnapshot::from_events(&events));
+            // The report's metrics plus the sink-only checkpoint spans and
+            // write latencies, which the report fold skips.
+            let snapshot = safe_obs::MetricsSnapshot::from_events(&events);
             std::fs::write(path, safe_obs::render_prometheus(&snapshot))
                 .map_err(|e| CliError::Io(format!("{path}: {e}")))?;
             eprintln!("prometheus metrics written to {path}");

@@ -165,9 +165,9 @@ fn null_sink_outcome_identical_to_instrumented_run() {
     );
 }
 
-/// Replaying a fit's event stream gives its inline report, with and
-/// without checkpointing: the sink-only `checkpoint` spans never enter
-/// either.
+/// Replaying a fit's event stream gives its inline report, metrics
+/// included, with and without checkpointing: the sink-only `checkpoint`
+/// spans never enter either.
 #[test]
 fn report_from_events_matches_inline_assembly() {
     let ckpt_dir =
@@ -205,6 +205,11 @@ fn report_from_events_matches_inline_assembly() {
         assert!(
             replayed.structural_eq(&outcome.report),
             "the replayed report must equal the inline one"
+        );
+        assert!(!outcome.report.metrics.is_empty());
+        assert_eq!(
+            replayed.metrics, outcome.report.metrics,
+            "metrics replay too"
         );
     }
     std::fs::remove_dir_all(&ckpt_dir).ok();

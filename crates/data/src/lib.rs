@@ -50,8 +50,8 @@ pub mod record;
 pub mod split;
 
 pub use audit::{
-    audit, enforce, enforce_observed, AuditConfig, AuditError, AuditFinding, AuditPolicy,
-    AuditReport, AuditSeverity, RepairAction,
+    audit, enforce, AuditConfig, AuditError, AuditFinding, AuditPolicy, AuditReport, AuditSeverity,
+    RepairAction,
 };
 pub use binning::{BinAssignments, BinEdges, BinStrategy};
 pub use chunk::{ChunkOptions, ChunkStats, ChunkStore, ChunkStoreBuilder};

@@ -34,6 +34,7 @@ use std::sync::Arc;
 use safe_data::binning::{BinEdges, BinStrategy};
 use safe_data::column::{ColumnRead, ColumnView};
 use safe_data::dataset::Dataset;
+use safe_data::DataError;
 use safe_stats::par::{par_map, Parallelism};
 
 
@@ -191,14 +192,19 @@ impl BinnedDataset {
     /// quantization run on up to `par.resolve()` threads (the caller plus
     /// `safe_stats::par` pool workers); per-feature results are merged in
     /// column order, so the matrix is identical for any thread count.
-    pub fn fit(ds: &Dataset, max_bins: usize, par: Parallelism) -> BinnedDataset {
+    /// Fails only when a chunked column cannot be read back.
+    pub fn fit(
+        ds: &Dataset,
+        max_bins: usize,
+        par: Parallelism,
+    ) -> Result<BinnedDataset, DataError> {
         let mut out = BinnedDataset {
             columns: Vec::new(),
             n_rows: ds.n_rows(),
             max_bins,
         };
-        out.extend_columns(ds, par, None);
-        out
+        out.extend_columns(ds, par, None)?;
+        Ok(out)
     }
 
     /// [`BinnedDataset::fit`] through a cross-iteration cache: columns whose
@@ -210,37 +216,41 @@ impl BinnedDataset {
         max_bins: usize,
         par: Parallelism,
         cache: &mut BinCache,
-    ) -> BinnedDataset {
+    ) -> Result<BinnedDataset, DataError> {
         cache.guard_rows(ds.n_rows());
         let mut out = BinnedDataset {
             columns: Vec::new(),
             n_rows: ds.n_rows(),
             max_bins,
         };
-        out.extend_columns(ds, par, Some(cache));
-        out
+        out.extend_columns(ds, par, Some(cache))?;
+        Ok(out)
     }
 
     /// Shared tail of `fit`/`fit_cached`: quantize (or look up) each column
-    /// of `ds` and append in column order.
-    fn extend_columns(&mut self, ds: &Dataset, par: Parallelism, cache: Option<&mut BinCache>) {
+    /// of `ds` and append in column order. A column that cannot be read
+    /// back (a lost spill file) is the error; the cache keeps only
+    /// finished columns.
+    fn extend_columns(
+        &mut self,
+        ds: &Dataset,
+        par: Parallelism,
+        cache: Option<&mut BinCache>,
+    ) -> Result<(), DataError> {
         // Quantization sorts a copy of the column, so each worker
         // materializes its column through the view API: zero-copy when
         // resident, a per-worker scratch gather when chunked/spilled — at
         // most one f64 column per thread is resident at a time.
         let views: Vec<ColumnView<'_>> = ds.column_views().collect();
-        let quantize_col = |f: usize| {
+        let quantize_col = |f: usize| -> Result<BinnedColumn, DataError> {
             let mut scratch = Vec::new();
-            let col = match views[f].materialize(&mut scratch) {
-                Ok(c) => c,
-                Err(e) => panic!("column read failed during binning: {e}"),
-            };
-            quantize(col, self.max_bins)
+            Ok(quantize(views[f].materialize(&mut scratch)?, self.max_bins))
         };
         match cache {
             None => {
-                let fitted = par_map(par, views.len(), quantize_col);
-                self.columns.extend(fitted);
+                for col in par_map(par, views.len(), quantize_col) {
+                    self.columns.push(col?);
+                }
             }
             Some(cache) => {
                 let names = ds.feature_names();
@@ -262,6 +272,7 @@ impl BinnedDataset {
                 }
                 let fitted = par_map(par, miss_idx.len(), |i| quantize_col(miss_idx[i]));
                 for (&f, col) in miss_idx.iter().zip(fitted) {
+                    let col = col?;
                     cache.misses += 1;
                     cache
                         .entries
@@ -272,11 +283,12 @@ impl BinnedDataset {
                     self.columns.push(match col {
                         Some(col) => col,
                         // Unreachable: every index is a hit or in miss_idx.
-                        None => quantize_col(f),
+                        None => quantize_col(f)?,
                     });
                 }
             }
         }
+        Ok(())
     }
 
     /// Number of features.
@@ -375,7 +387,7 @@ mod tests {
 
     #[test]
     fn binned_dataset_shape() {
-        let bm = BinnedDataset::fit(&two_col_dataset(), 16, Parallelism::auto());
+        let bm = BinnedDataset::fit(&two_col_dataset(), 16, Parallelism::auto()).unwrap();
         assert_eq!(bm.n_features(), 2);
         assert_eq!(bm.n_rows(), 3);
         assert_eq!(bm.bins(0).len(), 3);
@@ -413,12 +425,12 @@ mod tests {
     fn cache_hits_are_bit_identical_to_cold_fits() {
         let ds = two_col_dataset();
         let mut cache = BinCache::new();
-        let first = BinnedDataset::fit_cached(&ds, 16, Parallelism::auto(), &mut cache);
+        let first = BinnedDataset::fit_cached(&ds, 16, Parallelism::auto(), &mut cache).unwrap();
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.hits(), 0);
-        let second = BinnedDataset::fit_cached(&ds, 16, Parallelism::auto(), &mut cache);
+        let second = BinnedDataset::fit_cached(&ds, 16, Parallelism::auto(), &mut cache).unwrap();
         assert_eq!(cache.hits(), 2, "second fit must be all hits");
-        let cold = BinnedDataset::fit(&ds, 16, Parallelism::auto());
+        let cold = BinnedDataset::fit(&ds, 16, Parallelism::auto()).unwrap();
         assert_binned_eq(&first, &cold);
         assert_binned_eq(&second, &cold);
     }
@@ -427,8 +439,8 @@ mod tests {
     fn cache_keys_by_max_bins() {
         let ds = two_col_dataset();
         let mut cache = BinCache::new();
-        let _ = BinnedDataset::fit_cached(&ds, 16, Parallelism::auto(), &mut cache);
-        let _ = BinnedDataset::fit_cached(&ds, 8, Parallelism::auto(), &mut cache);
+        let _ = BinnedDataset::fit_cached(&ds, 16, Parallelism::auto(), &mut cache).unwrap();
+        let _ = BinnedDataset::fit_cached(&ds, 8, Parallelism::auto(), &mut cache).unwrap();
         assert_eq!(cache.hits(), 0, "different max_bins must not hit");
         assert_eq!(cache.misses(), 4);
         assert_eq!(cache.len(), 4);
@@ -438,7 +450,7 @@ mod tests {
     fn cache_invalidates_on_row_count_change() {
         let ds = two_col_dataset();
         let mut cache = BinCache::new();
-        let _ = BinnedDataset::fit_cached(&ds, 16, Parallelism::auto(), &mut cache);
+        let _ = BinnedDataset::fit_cached(&ds, 16, Parallelism::auto(), &mut cache).unwrap();
         assert_eq!(cache.len(), 2);
         let other = Dataset::from_columns(
             vec!["a".into(), "b".into()],
@@ -446,7 +458,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let _ = BinnedDataset::fit_cached(&other, 16, Parallelism::auto(), &mut cache);
+        let _ = BinnedDataset::fit_cached(&other, 16, Parallelism::auto(), &mut cache).unwrap();
         assert_eq!(cache.len(), 2, "stale 3-row entries dropped, 2-row entries in");
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 4);
@@ -463,12 +475,13 @@ mod tests {
         )
         .unwrap();
         let mut cache = BinCache::new();
-        let _ = BinnedDataset::fit_cached(&ds, 16, Parallelism::auto(), &mut cache);
+        let _ = BinnedDataset::fit_cached(&ds, 16, Parallelism::auto(), &mut cache).unwrap();
         let subset = ds.select_columns(&[2, 0]).unwrap();
-        let binned = BinnedDataset::fit_cached(&subset, 16, Parallelism::auto(), &mut cache);
+        let binned =
+            BinnedDataset::fit_cached(&subset, 16, Parallelism::auto(), &mut cache).unwrap();
         assert_eq!(cache.hits(), 2);
         assert_eq!(cache.misses(), 3);
-        let cold = BinnedDataset::fit(&subset, 16, Parallelism::auto());
+        let cold = BinnedDataset::fit(&subset, 16, Parallelism::auto()).unwrap();
         assert_binned_eq(&binned, &cold);
     }
 }

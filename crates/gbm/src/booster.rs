@@ -154,12 +154,12 @@ impl Gbm {
                     self.config.max_bins,
                     self.config.parallelism,
                     cache,
-                );
+                )?;
                 stats.cache_bin_hits = cache.hits() - h0;
                 stats.cache_bin_misses = cache.misses() - m0;
                 binned
             }
-            None => BinnedDataset::fit(train, self.config.max_bins, self.config.parallelism),
+            None => BinnedDataset::fit(train, self.config.max_bins, self.config.parallelism)?,
         };
         let base = base_margin(self.config.objective, labels);
         let mut margins = vec![base; n];
@@ -494,7 +494,7 @@ mod tests {
         let train = toy(300, 4);
         let labels = train.labels().unwrap().to_vec();
         let mut margins = vec![crate::loss::base_margin(Objective::Squared, &labels); 300];
-        let binned = BinnedDataset::fit(&train, 256, safe_stats::par::Parallelism::auto());
+        let binned = BinnedDataset::fit(&train, 256, safe_stats::par::Parallelism::auto()).unwrap();
         let cols: Vec<&[f64]> = train.columns().collect();
         let config = GbmConfig {
             objective: Objective::Squared,

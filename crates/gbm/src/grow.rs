@@ -369,7 +369,7 @@ mod tests {
     fn binned_of(cols: Vec<Vec<f64>>) -> BinnedDataset {
         let names = (0..cols.len()).map(|i| format!("f{i}")).collect();
         let ds = Dataset::from_columns(names, cols, None).unwrap();
-        BinnedDataset::fit(&ds, 256, Parallelism::auto())
+        BinnedDataset::fit(&ds, 256, Parallelism::auto()).unwrap()
     }
 
     fn grads_for(labels: &[u8]) -> (Vec<f64>, Vec<f64>) {

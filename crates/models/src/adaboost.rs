@@ -74,7 +74,8 @@ impl Classifier for AdaBoost {
     fn fit(&self, train: &Dataset) -> Result<Box<dyn FittedClassifier>, ModelError> {
         let labels = training_labels(train)?.to_vec();
         let n = train.n_rows();
-        let binned = BinnedDataset::fit(train, 256, self.config.parallelism);
+        let binned = BinnedDataset::fit(train, 256, self.config.parallelism)
+            .map_err(|e| ModelError::BadTrainingData(e.to_string()))?;
         let tree_config = TreeConfig {
             max_depth: self.config.base_depth,
             ..TreeConfig::default()

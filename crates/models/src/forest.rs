@@ -63,7 +63,8 @@ fn fit_members(
     config: &ForestConfig,
 ) -> Result<Vec<Tree>, ModelError> {
     let labels = training_labels(train)?.to_vec();
-    let binned = BinnedDataset::fit(train, config.max_bins, config.parallelism);
+    let binned = BinnedDataset::fit(train, config.max_bins, config.parallelism)
+        .map_err(|e| ModelError::BadTrainingData(e.to_string()))?;
     let n = train.n_rows();
     let tree_config = TreeConfig {
         max_depth: config.max_depth,

@@ -349,7 +349,8 @@ impl Classifier for DecisionTree {
     }
     fn fit(&self, train: &Dataset) -> Result<Box<dyn FittedClassifier>, ModelError> {
         let labels = training_labels(train)?;
-        let binned = BinnedDataset::fit(train, self.config.max_bins, self.config.parallelism);
+        let binned = BinnedDataset::fit(train, self.config.max_bins, self.config.parallelism)
+            .map_err(|e| ModelError::BadTrainingData(e.to_string()))?;
         let weights = vec![1.0; train.n_rows()];
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let tree = grow_classification_tree(
@@ -450,7 +451,7 @@ mod tests {
         // Upweighting the positive rows must raise the positive leaf share.
         let ds = step_data(40);
         let labels = ds.labels().unwrap().to_vec();
-        let binned = BinnedDataset::fit(&ds, 256, Parallelism::auto());
+        let binned = BinnedDataset::fit(&ds, 256, Parallelism::auto()).unwrap();
         let config = TreeConfig { max_depth: 1, ..TreeConfig::default() };
         let mut rng = StdRng::seed_from_u64(0);
         let uniform = vec![1.0; 40];

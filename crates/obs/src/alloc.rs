@@ -5,14 +5,14 @@
 //! then tallied into process-wide atomics and [`alloc_snapshot`] reports
 //! cumulative allocation count/bytes, currently live bytes, and the peak
 //! high-water mark. The report builder samples these around each stage
-//! guard, so per-stage deltas land in `RunReport.metrics` as
-//! `alloc_allocs{stage=...}` / `alloc_bytes{stage=...}` counters plus an
-//! `alloc_peak_bytes` gauge.
+//! guard and emits the deltas as `alloc_allocs` / `alloc_bytes` /
+//! `alloc_peak_bytes` `observe` events on that stage, so they land in
+//! `RunReport.metrics` as `<name>{stage=...}` histograms.
 //!
 //! Without the feature the allocator type is absent and [`alloc_snapshot`]
 //! returns zeros, so instrumentation sites can call it unconditionally —
-//! the builder skips recording when the feature is compiled out, keeping
-//! default-build reports byte-identical to pre-metrics ones.
+//! the builder emits nothing when the feature is compiled out, so
+//! default-build event streams carry no allocation events.
 
 /// Point-in-time allocation statistics (all zeros when the `alloc-metrics`
 /// feature is off).

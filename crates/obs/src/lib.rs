@@ -42,19 +42,21 @@
 //! in microseconds; for `observe` the observed amount), `message`
 //! (warnings only).
 //!
-//! ## Metrics and profiling (PR 7)
+//! ## Metrics and profiling
 //!
-//! [`metrics`] adds a zero-dependency labelled [`MetricsRegistry`] of
-//! counters, gauges, and the deterministic log2-bucketed [`LatencyHisto`]
-//! (exact merge, p50/p95/p99). Its [`MetricsSnapshot`] lands in
-//! `RunReport.metrics` and renders to Prometheus text format via
-//! [`render_prometheus`]. Hot paths emit
-//! sink-only `observe` events (per-round GBM timings, checkpoint writes,
-//! scorer batches) replayed by [`MetricsSnapshot::from_events`]. [`trace`]
+//! [`metrics`] adds the deterministic log2-bucketed [`LatencyHisto`]
+//! (exact merge, p50/p95/p99) and the [`MetricsSnapshot`] of labelled
+//! histograms, which renders to Prometheus text format via
+//! [`render_prometheus`]. The snapshot has one recording path: the report
+//! fold records every span end (`stage_us`, `iteration_us`) and every
+//! `observe` event (per-round GBM timings, checkpoint writes, scorer
+//! batches) into `RunReport.metrics`, and [`MetricsSnapshot::from_events`]
+//! runs the same recording over a recorded stream. [`trace`]
 //! replays any recorded event stream into Chrome trace-event JSON
 //! ([`trace::chrome_trace_json`], Perfetto-loadable) and folded-stack
 //! flamegraph format ([`trace::folded_stacks`]). The optional
-//! `alloc-metrics` feature adds a counting global allocator ([`alloc`]).
+//! `alloc-metrics` feature adds a counting global allocator ([`alloc`])
+//! whose per-stage deltas arrive as `observe` events.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -69,8 +71,7 @@ pub mod trace;
 
 pub use alloc::{alloc_metrics_enabled, alloc_snapshot, AllocSnapshot};
 pub use metrics::{
-    escape_label_value, render_prometheus, LatencyHisto, MetricKey, MetricsRegistry,
-    MetricsSnapshot,
+    escape_label_value, render_prometheus, LatencyHisto, MetricKey, MetricsSnapshot,
 };
 pub use report::{
     IterationTelemetry, ReportBuilder, RunReport, StageGuard, StageTelemetry, Waterfall, WarnRecord,

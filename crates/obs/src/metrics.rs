@@ -1,6 +1,6 @@
 //! Zero-dependency metrics primitives: a deterministic log2-bucketed
-//! latency histogram, a labelled registry of counters, gauges and
-//! histograms, and a Prometheus text-exposition renderer.
+//! latency histogram, a snapshot of labelled histograms folded from events,
+//! and a Prometheus text-exposition renderer.
 //!
 //! Everything here is exact integer arithmetic — no floating-point
 //! accumulation — so snapshots, merges, and quantiles are bit-identical
@@ -9,22 +9,17 @@
 //! reports as uninstrumented ones, and histogram state must never introduce
 //! nondeterminism.
 //!
-//! Two recording paths exist, mirroring the sink-only contract from the
-//! checkpoint layer (DESIGN.md §13/§14):
-//!
-//! * **Report-side**: [`crate::ReportBuilder`] owns a [`MetricsRegistry`];
-//!   stage guards observe their own latency into it and the snapshot lands in
-//!   `RunReport.metrics`. The field is excluded from `RunReport`'s `==` so
-//!   resumed reports still compare equal.
-//! * **Sink-only**: hot paths (per-round GBM timings, checkpoint writes,
-//!   per-batch scorer latency) emit [`crate::EventKind::Observe`] events and
-//!   never touch the report. [`MetricsSnapshot::from_events`] replays them
-//!   into histograms after the fact.
-
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+//! One recording path exists: [`MetricsSnapshot`] folds events. Every
+//! `stage_end` is one sample of `stage_us{stage}` (`iteration_us` for the
+//! iteration span) and every [`crate::EventKind::Observe`] one sample of
+//! `<name>{stage}`. The report fold runs it on every event it folds, so
+//! `RunReport.metrics` comes from the report's own events, and
+//! [`MetricsSnapshot::from_events`] runs it over a recorded stream. The
+//! field is excluded from `RunReport`'s `==`, so resumed reports still
+//! compare equal.
 
 use crate::sink::{Event, EventKind};
+use crate::{json, stages};
 
 /// Number of histogram buckets: one for zero plus one per power of two up to
 /// `u64::MAX` (bucket 64 covers `[2^63, u64::MAX]`).
@@ -165,8 +160,8 @@ impl LatencyHisto {
     }
 }
 
-/// Identity of a metric: name plus sorted label pairs. Ordered, so registry
-/// snapshots are deterministic regardless of registration order.
+/// Identity of a metric: name plus sorted label pairs. Ordered, so a
+/// snapshot's histograms sort the same whatever order they first appear in.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MetricKey {
     /// Metric name (free-form; sanitized only at Prometheus render time).
@@ -187,82 +182,12 @@ impl MetricKey {
     }
 }
 
-#[derive(Debug, Default)]
-struct RegistryInner {
-    counters: BTreeMap<MetricKey, u64>,
-    gauges: BTreeMap<MetricKey, i64>,
-    histos: BTreeMap<MetricKey, LatencyHisto>,
-}
-
-/// A thread-safe labelled metrics registry. Snapshots are sorted by metric
-/// key, so two registries fed the same observations — in any order, from any
-/// number of threads — snapshot identically (counter sums and histogram
-/// merges are exact integer arithmetic).
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    inner: Mutex<RegistryInner>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn locked(&self) -> std::sync::MutexGuard<'_, RegistryInner> {
-        // A poisoned lock only means another thread panicked mid-update;
-        // the integer state is still coherent, so keep going.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Add `delta` to the counter identified by `name` + `labels`.
-    pub fn counter_add(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        let key = MetricKey::new(name, labels);
-        *self.locked().counters.entry(key).or_insert(0) += delta;
-    }
-
-    /// Set the gauge identified by `name` + `labels`.
-    pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], value: i64) {
-        let key = MetricKey::new(name, labels);
-        self.locked().gauges.insert(key, value);
-    }
-
-    /// Record one observation into the histogram identified by `name` +
-    /// `labels`.
-    pub fn observe(&self, name: &str, labels: &[(&str, &str)], value: u64) {
-        let key = MetricKey::new(name, labels);
-        self.locked().histos.entry(key).or_default().record(value);
-    }
-
-    /// Deterministic point-in-time copy of every metric, sorted by key.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.locked();
-        MetricsSnapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|(k, &v)| (k.clone(), v))
-                .collect(),
-            gauges: inner.gauges.iter().map(|(k, &v)| (k.clone(), v)).collect(),
-            histograms: inner
-                .histos
-                .iter()
-                .map(|(k, h)| (k.clone(), h.clone()))
-                .collect(),
-        }
-    }
-}
-
-/// An immutable, sorted snapshot of a [`MetricsRegistry`] (or of a replayed
-/// event stream). Embedded in `RunReport.metrics` — write-only with respect
-/// to report equality: the field is ignored by `RunReport`'s `==` and not
-/// restored from checkpoints.
+/// A sorted set of labelled histograms folded from an event stream.
+/// Embedded in `RunReport.metrics` — write-only with respect to report
+/// equality: the field is ignored by `RunReport`'s `==` and not restored
+/// from checkpoints.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Counter samples, sorted by key.
-    pub counters: Vec<(MetricKey, u64)>,
-    /// Gauge samples, sorted by key.
-    pub gauges: Vec<(MetricKey, i64)>,
     /// Histogram samples, sorted by key.
     pub histograms: Vec<(MetricKey, LatencyHisto)>,
 }
@@ -270,50 +195,48 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// True when the snapshot holds no samples at all.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.histograms.is_empty()
     }
 
-    /// Replay an event stream, folding every [`EventKind::Observe`] event
-    /// into a histogram keyed by the event's `name` with a `stage` label.
-    /// All other event kinds are ignored — they are already represented in
-    /// the report. Deterministic: the stream order fixes the state, and
-    /// histogram merge is exact, so re-sharding the same events yields the
-    /// same snapshot.
-    pub fn from_events(events: &[Event]) -> Self {
-        let registry = MetricsRegistry::new();
-        for e in events {
-            if e.kind == EventKind::Observe {
-                if e.stage.is_empty() {
-                    registry.observe(&e.name, &[], e.value);
-                } else {
-                    registry.observe(&e.name, &[("stage", e.stage.as_str())], e.value);
-                }
+    /// Fold one event: a `stage_end` records its span duration into
+    /// `stage_us{stage}` (`iteration_us` for the iteration span), an
+    /// `observe` records its value into `<name>{stage}`. Every other kind
+    /// is already represented in the report and is ignored.
+    pub(crate) fn record(&mut self, e: &Event) {
+        let stage_label = [("stage", e.stage.as_str())];
+        let stage = if e.stage.is_empty() {
+            &stage_label[..0]
+        } else {
+            &stage_label[..]
+        };
+        let (name, labels) = match e.kind {
+            EventKind::StageEnd if e.stage == stages::ITERATION => ("iteration_us", &[][..]),
+            EventKind::StageEnd => ("stage_us", stage),
+            EventKind::Observe => (e.name.as_str(), stage),
+            _ => return,
+        };
+        let key = MetricKey::new(name, labels);
+        let i = match self.histograms.binary_search_by(|(k, _)| k.cmp(&key)) {
+            Ok(i) => i,
+            Err(i) => {
+                self.histograms.insert(i, (key, LatencyHisto::new()));
+                i
             }
-        }
-        registry.snapshot()
+        };
+        self.histograms[i].1.record(e.value);
     }
 
-    /// Exact merge of two snapshots: counters add, gauges take `other`'s
-    /// value on collision, histograms merge bucket-wise. Result is sorted.
-    pub fn merge(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut counters: BTreeMap<MetricKey, u64> = self.counters.iter().cloned().collect();
-        for (k, v) in &other.counters {
-            *counters.entry(k.clone()).or_insert(0) += v;
+    /// [`MetricsSnapshot::record`] run over a recorded stream (a
+    /// [`crate::MemorySink`] snapshot or a parsed `--trace-jsonl` file).
+    /// Unlike the report fold it keeps `checkpoint` events, so write
+    /// latencies reach the Prometheus exposition. Deterministic: the
+    /// stream fixes the state.
+    pub fn from_events(events: &[Event]) -> Self {
+        let mut snapshot = MetricsSnapshot::default();
+        for e in events {
+            snapshot.record(e);
         }
-        let mut gauges: BTreeMap<MetricKey, i64> = self.gauges.iter().cloned().collect();
-        for (k, v) in &other.gauges {
-            gauges.insert(k.clone(), *v);
-        }
-        let mut histograms: BTreeMap<MetricKey, LatencyHisto> =
-            self.histograms.iter().cloned().collect();
-        for (k, h) in &other.histograms {
-            histograms.entry(k.clone()).or_default().merge(h);
-        }
-        MetricsSnapshot {
-            counters: counters.into_iter().collect(),
-            gauges: gauges.into_iter().collect(),
-            histograms: histograms.into_iter().collect(),
-        }
+        snapshot
     }
 
     /// Compact JSON rendering, embedded by `RunReport::to_json` under the
@@ -321,55 +244,21 @@ impl MetricsSnapshot {
     /// section (metrics are never restored from checkpoints).
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
-        fn labels_json(labels: &[(String, String)]) -> String {
-            let mut out = String::from("{");
-            for (i, (k, v)) in labels.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&crate::json::escape(k));
-                out.push(':');
-                out.push_str(&crate::json::escape(v));
-            }
-            out.push('}');
-            out
-        }
-        let mut out = String::from("{\"counters\":[");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"labels\":{},\"value\":{}}}",
-                crate::json::escape(&k.name),
-                labels_json(&k.labels),
-                v
-            );
-        }
-        out.push_str("],\"gauges\":[");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"labels\":{},\"value\":{}}}",
-                crate::json::escape(&k.name),
-                labels_json(&k.labels),
-                v
-            );
-        }
-        out.push_str("],\"histograms\":[");
+        let mut out = String::from("{\"histograms\":[");
         for (i, (k, h)) in self.histograms.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
+            let labels: Vec<String> = k
+                .labels
+                .iter()
+                .map(|(name, value)| format!("{}:{}", json::escape(name), json::escape(value)))
+                .collect();
             let _ = write!(
                 out,
-                "{{\"name\":{},\"labels\":{},\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"buckets\":[",
-                crate::json::escape(&k.name),
-                labels_json(&k.labels),
+                "{{\"name\":{},\"labels\":{{{}}},\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"buckets\":[",
+                json::escape(&k.name),
+                labels.join(","),
                 h.count(),
                 h.sum(),
                 h.p50(),
@@ -449,27 +338,14 @@ fn prom_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> Stri
 /// plus the mandatory `+Inf` bucket, `_sum`, and `_count` series.
 pub fn render_prometheus(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::new();
-    let mut last_typed: Option<(String, &'static str)> = None;
-    let mut type_line = |out: &mut String, name: &str, kind: &'static str| {
-        let tagged = (name.to_string(), kind);
-        if last_typed.as_ref() != Some(&tagged) {
-            out.push_str(&format!("# TYPE {name} {kind}\n"));
-            last_typed = Some(tagged);
-        }
-    };
-    for (key, value) in &snapshot.counters {
-        let name = format!("safe_{}", prom_name(&key.name));
-        type_line(&mut out, &name, "counter");
-        out.push_str(&format!("{}{} {}\n", name, prom_labels(&key.labels, None), value));
-    }
-    for (key, value) in &snapshot.gauges {
-        let name = format!("safe_{}", prom_name(&key.name));
-        type_line(&mut out, &name, "gauge");
-        out.push_str(&format!("{}{} {}\n", name, prom_labels(&key.labels, None), value));
-    }
+    let mut last_name = String::new();
     for (key, histo) in &snapshot.histograms {
         let name = format!("safe_{}", prom_name(&key.name));
-        type_line(&mut out, &name, "histogram");
+        // Keys sort by name first, so one TYPE line heads each family.
+        if name != last_name {
+            out.push_str(&format!("# TYPE {name} histogram\n"));
+            last_name.clone_from(&name);
+        }
         let mut cumulative = 0u64;
         for (i, n) in histo.nonzero_buckets() {
             cumulative += n;
@@ -578,97 +454,56 @@ mod tests {
         assert_eq!(fwd.p99(), serial.p99());
     }
 
-    #[test]
-    fn registry_snapshot_is_sorted_and_deterministic() {
-        let r = MetricsRegistry::new();
-        r.observe("z_metric", &[], 5);
-        r.counter_add("a_counter", &[("stage", "gbm-train")], 2);
-        r.counter_add("a_counter", &[("stage", "gbm-train")], 3);
-        r.gauge_set("g", &[], -7);
-        let snap = r.snapshot();
-        assert_eq!(snap.counters.len(), 1);
-        assert_eq!(snap.counters[0].1, 5);
-        assert_eq!(snap.gauges[0].1, -7);
-        assert_eq!(snap.histograms[0].0.name, "z_metric");
-
-        // Same observations, different order -> identical snapshot.
-        let r2 = MetricsRegistry::new();
-        r2.gauge_set("g", &[], -7);
-        r2.counter_add("a_counter", &[("stage", "gbm-train")], 5);
-        r2.observe("z_metric", &[], 5);
-        assert_eq!(r2.snapshot(), snap);
+    fn event(kind: EventKind, stage: &str, name: &str, value: u64) -> Event {
+        Event {
+            ts_us: 0,
+            kind,
+            stage: stage.to_string(),
+            iteration: Some(0),
+            name: name.to_string(),
+            value,
+            message: String::new(),
+        }
     }
 
     #[test]
-    fn from_events_replays_only_observe_events() {
+    fn span_ends_and_observes_fold_into_metrics_and_counters_do_not() {
         let events = vec![
-            Event {
-                ts_us: 10,
-                kind: EventKind::Observe,
-                stage: "gbm-train".to_string(),
-                iteration: Some(0),
-                name: "gbm_round_us".to_string(),
-                value: 120,
-                message: String::new(),
-            },
-            Event {
-                ts_us: 11,
-                kind: EventKind::Counter,
-                stage: "gbm-train".to_string(),
-                iteration: Some(0),
-                name: "rows".to_string(),
-                value: 400,
-                message: String::new(),
-            },
-            Event {
-                ts_us: 12,
-                kind: EventKind::Observe,
-                stage: "gbm-train".to_string(),
-                iteration: Some(0),
-                name: "gbm_round_us".to_string(),
-                value: 90,
-                message: String::new(),
-            },
+            event(EventKind::StageStart, "gbm-train", "", 0),
+            event(EventKind::Observe, "gbm-train", "gbm_round_us", 120),
+            event(EventKind::Counter, "gbm-train", "rows", 400),
+            event(EventKind::Gauge, "waterfall", "selected", 4),
+            event(EventKind::Warn, "gbm-train", "degraded", 0),
+            event(EventKind::Observe, "gbm-train", "gbm_round_us", 90),
+            event(EventKind::StageEnd, "gbm-train", "", 300),
+            event(EventKind::StageEnd, stages::ITERATION, "completed", 500),
         ];
         let snap = MetricsSnapshot::from_events(&events);
-        assert!(snap.counters.is_empty());
+        let names: Vec<&str> = snap
+            .histograms
+            .iter()
+            .map(|(k, _)| k.name.as_str())
+            .collect();
+        assert_eq!(names, ["gbm_round_us", "iteration_us", "stage_us"]);
         let h = snap
             .histogram("gbm_round_us", &[("stage", "gbm-train")])
             .expect("histogram present");
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 210);
-    }
-
-    #[test]
-    fn snapshot_merge_is_exact() {
-        let a = MetricsRegistry::new();
-        a.counter_add("c", &[], 1);
-        a.observe("h", &[], 10);
-        let b = MetricsRegistry::new();
-        b.counter_add("c", &[], 2);
-        b.observe("h", &[], 20);
-        b.gauge_set("g", &[], 9);
-        let merged = a.snapshot().merge(&b.snapshot());
-        assert_eq!(merged.counters[0].1, 3);
-        assert_eq!(merged.gauges[0].1, 9);
-        let h = merged.histogram("h", &[]).expect("merged histogram");
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 30);
+        assert_eq!((h.count(), h.sum()), (2, 210));
+        let stage = snap
+            .histogram("stage_us", &[("stage", "gbm-train")])
+            .expect("stage span");
+        assert_eq!((stage.count(), stage.sum()), (1, 300));
+        let iteration = snap.histogram("iteration_us", &[]).expect("iteration span");
+        assert_eq!((iteration.count(), iteration.sum()), (1, 500));
     }
 
     #[test]
     fn prometheus_rendering_is_pinned() {
-        let r = MetricsRegistry::new();
-        r.counter_add("rows_scored", &[("dataset", "gina")], 42);
-        r.gauge_set("alloc_peak_bytes", &[], 1024);
-        r.observe("stage_us", &[("stage", "gbm-train")], 3);
-        r.observe("stage_us", &[("stage", "gbm-train")], 1000);
-        let text = render_prometheus(&r.snapshot());
+        let text = render_prometheus(&MetricsSnapshot::from_events(&[
+            event(EventKind::StageEnd, "gbm-train", "", 3),
+            event(EventKind::StageEnd, "gbm-train", "", 1000),
+        ]));
         let expected = "\
-# TYPE safe_rows_scored counter
-safe_rows_scored{dataset=\"gina\"} 42
-# TYPE safe_alloc_peak_bytes gauge
-safe_alloc_peak_bytes 1024
 # TYPE safe_stage_us histogram
 safe_stage_us_bucket{stage=\"gbm-train\",le=\"3\"} 1
 safe_stage_us_bucket{stage=\"gbm-train\",le=\"1023\"} 2
@@ -684,31 +519,31 @@ safe_stage_us_count{stage=\"gbm-train\"} 2
         assert_eq!(escape_label_value("a\\b"), "a\\\\b");
         assert_eq!(escape_label_value("a\"b"), "a\\\"b");
         assert_eq!(escape_label_value("a\nb"), "a\\nb");
-        let r = MetricsRegistry::new();
-        r.counter_add("c", &[("k", "v\\w\"x\ny")], 1);
-        let text = render_prometheus(&r.snapshot());
-        assert!(text.contains("safe_c{k=\"v\\\\w\\\"x\\ny\"} 1"));
+        let snap = MetricsSnapshot::from_events(&[event(EventKind::Observe, "v\\w\"x\ny", "c", 1)]);
+        let text = render_prometheus(&snap);
+        assert!(
+            text.contains("safe_c_count{stage=\"v\\\\w\\\"x\\ny\"} 1"),
+            "{text}"
+        );
     }
 
     #[test]
     fn snapshot_json_parses_back() {
-        let r = MetricsRegistry::new();
-        r.counter_add("c", &[("stage", "iv-filter")], 3);
-        r.observe("stage_us", &[("stage", "gbm-train")], 100);
-        let text = r.snapshot().to_json();
-        let v = crate::json::parse(&text).expect("metrics JSON parses");
-        let counters = v.get("counters").and_then(|c| c.as_array()).expect("counters");
-        assert_eq!(counters.len(), 1);
+        let snap = MetricsSnapshot::from_events(&[
+            event(EventKind::Counter, "iv-filter", "c", 3),
+            event(EventKind::StageEnd, "gbm-train", "", 100),
+        ]);
+        let v = crate::json::parse(&snap.to_json()).expect("metrics JSON parses");
         let histos = v.get("histograms").and_then(|h| h.as_array()).expect("histograms");
+        assert_eq!(histos.len(), 1);
         assert_eq!(histos[0].get("count").and_then(|n| n.as_u64()), Some(1));
         assert_eq!(histos[0].get("p50").and_then(|n| n.as_u64()), Some(127));
     }
 
     #[test]
     fn metric_names_are_sanitized() {
-        let r = MetricsRegistry::new();
-        r.counter_add("gbm-train.time", &[], 1);
-        let text = render_prometheus(&r.snapshot());
-        assert!(text.contains("safe_gbm_train_time 1"));
+        let snap =
+            MetricsSnapshot::from_events(&[event(EventKind::Observe, "", "gbm-train.time", 1)]);
+        assert!(render_prometheus(&snap).contains("safe_gbm_train_time_count 1"));
     }
 }

@@ -9,8 +9,10 @@
 //! a callee handed [`StageGuard::sink`] (the booster) reaches the report
 //! the same way. [`RunReport::from_events`] runs the same fold over a
 //! recorded stream (a [`MemorySink`] snapshot or a parsed `--trace-jsonl`
-//! file): the offline replay of a run. Events of the `checkpoint` stage
-//! never enter a report.
+//! file): the offline replay of a run. The fold also records every span
+//! end and `observe` event into `RunReport.metrics`, so the replayed
+//! metrics equal the inline ones. Events of the `checkpoint` stage never
+//! enter a report.
 //!
 //! [`MemorySink`]: crate::sink::MemorySink
 
@@ -19,7 +21,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::alloc::{alloc_metrics_enabled, alloc_snapshot, AllocSnapshot};
-use crate::metrics::{MetricsRegistry, MetricsSnapshot};
+use crate::metrics::MetricsSnapshot;
 use crate::sink::{Event, EventKind, EventSink};
 use crate::{json, stages};
 
@@ -155,8 +157,9 @@ pub struct RunReport {
     pub iterations: Vec<IterationTelemetry>,
     /// Warnings in emission order (degradations, audit findings).
     pub warnings: Vec<WarnRecord>,
-    /// Latency histograms (per-stage/iteration wall time) and, under the
-    /// `alloc-metrics` feature, per-stage allocation counters. **Excluded
+    /// Histograms folded from the report's own events: per-stage and
+    /// per-iteration wall time, the `observe` samples (booster rounds and,
+    /// under the `alloc-metrics` feature, per-stage allocations). **Excluded
     /// from `==`** and never restored from checkpoints: wall-clock
     /// distributions legitimately differ between a resumed run and an
     /// uninterrupted one, and the PR 6 contract requires their reports to
@@ -216,17 +219,13 @@ impl RunReport {
     /// (unmatched ends, counters outside spans) are ignored rather than
     /// rejected. The run total is the sum of iteration and setup span
     /// durations (the builder's own total also includes time between spans,
-    /// so compare per-stage values, not totals), and `metrics` holds the
-    /// stream's `observe` histograms.
+    /// so compare per-stage values, not totals).
     pub fn from_events(events: &[Event]) -> RunReport {
         let mut fold = Fold::default();
         for e in events {
             fold.apply(e);
         }
-        RunReport {
-            metrics: MetricsSnapshot::from_events(events),
-            ..fold.report
-        }
+        fold.report
     }
 
     /// Parse a report back from its [`RunReport::to_json`] document.
@@ -541,6 +540,7 @@ impl Fold {
         if e.stage == stages::CHECKPOINT {
             return;
         }
+        self.report.metrics.record(e);
         match e.kind {
             EventKind::StageStart if e.stage == stages::ITERATION => {
                 self.current = Some(IterationTelemetry {
@@ -602,10 +602,9 @@ impl Fold {
                     }
                 }
             }
-            EventKind::Gauge => {}
-            // Observe events are sink-only histogram samples, never
+            // Observe events are histogram samples, recorded above, never
             // counters.
-            EventKind::Observe => {}
+            EventKind::Gauge | EventKind::Observe => {}
             EventKind::Warn => {
                 self.report.warnings.push(WarnRecord {
                     stage: e.stage.clone(),
@@ -636,12 +635,6 @@ pub struct ReportBuilder<'a> {
     /// The report so far. Behind a mutex because [`EventSink::record`]
     /// takes `&self`.
     fold: Mutex<Fold>,
-    /// Latency histograms (+ alloc counters under `alloc-metrics`),
-    /// snapshotted into `RunReport.metrics`. Recorded unconditionally —
-    /// even under a disabled sink — because the report itself already
-    /// carries wall-clock fields; `metrics` is just their distribution
-    /// view and is excluded from report equality.
-    metrics: MetricsRegistry,
 }
 
 impl<'a> ReportBuilder<'a> {
@@ -664,14 +657,16 @@ impl<'a> ReportBuilder<'a> {
             run_start: Instant::now(),
             prior_total_us: prior.total_us,
             current: None,
-            fold: Mutex::new(Fold {
-                report: prior,
-                ..Fold::default()
-            }),
             // Metrics restart empty: checkpoints never persist them (they
             // are wall-clock distributions of *this process*), so a resumed
             // report's histograms cover only the post-resume segment.
-            metrics: MetricsRegistry::new(),
+            fold: Mutex::new(Fold {
+                report: RunReport {
+                    metrics: MetricsSnapshot::default(),
+                    ..prior
+                },
+                ..Fold::default()
+            }),
         }
     }
 
@@ -694,7 +689,6 @@ impl<'a> ReportBuilder<'a> {
     pub fn snapshot(&self) -> RunReport {
         RunReport {
             total_us: self.prior_total_us + self.run_start.elapsed().as_micros() as u64,
-            metrics: self.metrics.snapshot(),
             ..self.fold().report.clone()
         }
     }
@@ -736,7 +730,6 @@ impl<'a> ReportBuilder<'a> {
     pub fn end_iteration(&mut self, status: &str) {
         if let Some((iteration, start)) = self.current.take() {
             let micros = start.elapsed().as_micros() as u64;
-            self.metrics.observe("iteration_us", &[], micros);
             // The stage_end's `name` carries the status.
             let mut e = Event::new(EventKind::StageEnd, stages::ITERATION);
             e.iteration = Some(iteration);
@@ -824,20 +817,18 @@ impl StageGuard<'_, '_> {
 impl Drop for StageGuard<'_, '_> {
     fn drop(&mut self) {
         let micros = self.start.elapsed().as_micros() as u64;
-        self.sink().stage_end(&self.stage, self.iteration(), micros);
-        let metrics = &self.builder.metrics;
-        let labels = &[("stage", self.stage.as_str())];
-        metrics.observe("stage_us", labels, micros);
         if alloc_metrics_enabled() {
             let delta = alloc_snapshot().since(&self.alloc_start);
-            metrics.counter_add("alloc_allocs", labels, delta.allocs);
-            metrics.counter_add("alloc_bytes", labels, delta.bytes);
-            metrics.gauge_set(
-                "alloc_peak_bytes",
-                &[],
-                delta.peak.min(i64::MAX as u64) as i64,
-            );
+            for (name, value) in [
+                ("alloc_allocs", delta.allocs),
+                ("alloc_bytes", delta.bytes),
+                ("alloc_peak_bytes", delta.peak),
+            ] {
+                self.sink()
+                    .observe(&self.stage, self.iteration(), name, value);
+            }
         }
+        self.sink().stage_end(&self.stage, self.iteration(), micros);
     }
 }
 

@@ -27,9 +27,9 @@ pub enum EventKind {
     /// A structured warning (degradation, audit finding, failpoint trip).
     Warn,
     /// One latency/size observation destined for a histogram (`value`
-    /// carries the observed amount). Sink-only: never folded into
-    /// `RunReport` counters, so instrumented and resumed reports still
-    /// compare `==`.
+    /// carries the observed amount). Folded into `RunReport.metrics`, never
+    /// into counters, so instrumented and resumed reports still compare
+    /// `==`.
     Observe,
 }
 
@@ -198,9 +198,9 @@ impl dyn EventSink + '_ {
         self.record(&e);
     }
 
-    /// Emit a histogram observation (`observe` event). Sink-only by
-    /// contract: replayed into [`crate::metrics::MetricsSnapshot`] via
-    /// `from_events`, never folded into report counters.
+    /// Emit a histogram observation (`observe` event): one sample of
+    /// `<name>{stage}` in [`crate::metrics::MetricsSnapshot`], never a
+    /// report counter.
     pub fn observe(&self, stage: &str, iteration: Option<usize>, name: &str, value: u64) {
         if !self.enabled() {
             return;

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use safe_obs::metrics::{bucket_index, bucket_upper_bound, escape_label_value};
-use safe_obs::{render_prometheus, LatencyHisto, MetricsRegistry};
+use safe_obs::{render_prometheus, Event, EventKind, LatencyHisto, MetricsSnapshot};
 
 fn serial(values: &[u64]) -> LatencyHisto {
     let mut h = LatencyHisto::new();
@@ -126,10 +126,14 @@ proptest! {
         }
         prop_assert_eq!(&unescaped, &value);
 
-        let registry = MetricsRegistry::new();
-        registry.counter_add("hostile", &[("tag", value.as_str())], 1);
-        registry.observe("hostile_us", &[("tag", value.as_str())], 42);
-        let text = render_prometheus(&registry.snapshot());
+        let mut events = Vec::new();
+        for kind in [EventKind::StageEnd, EventKind::Observe] {
+            let mut e = Event::new(kind, &value);
+            e.name = "hostile_us".to_string();
+            e.value = 42;
+            events.push(e);
+        }
+        let text = render_prometheus(&MetricsSnapshot::from_events(&events));
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let (series, sample) = line.rsplit_once(' ')
                 .ok_or(TestCaseError::fail(format!("no value separator: {line:?}")))?;

@@ -244,144 +244,3 @@ mod tests {
         }
     }
 }
-
-/// Distributed-computing support (Section IV-E2): WoE/IV are computed from
-/// per-bin class counts, which are **additive across data shards**. Workers
-/// each build a [`WoeAccumulator`] over their partition with shared bin
-/// edges; the driver merges them and finalizes — the map-reduce realization
-/// the paper's deployment implies.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WoeAccumulator {
-    pos: Vec<usize>,
-    neg: Vec<usize>,
-}
-
-impl WoeAccumulator {
-    /// Empty accumulator over `n_bins` cells (use the same shared binning on
-    /// every shard, e.g. broadcast [`safe_data::binning::BinEdges`]).
-    pub fn new(n_bins: usize) -> WoeAccumulator {
-        WoeAccumulator {
-            pos: vec![0; n_bins],
-            neg: vec![0; n_bins],
-        }
-    }
-
-    /// Fold one record (already assigned to a bin) into the accumulator.
-    pub fn add(&mut self, bin: usize, label: u8) {
-        if label == 1 {
-            self.pos[bin] += 1;
-        } else {
-            self.neg[bin] += 1;
-        }
-    }
-
-    /// Fold a whole shard.
-    pub fn add_shard(&mut self, bins: &[usize], labels: &[u8]) {
-        assert_eq!(bins.len(), labels.len(), "shard bins/labels mismatch");
-        for (&b, &l) in bins.iter().zip(labels) {
-            self.add(b, l);
-        }
-    }
-
-    /// Merge another accumulator (the reduce step). Panics when bin counts
-    /// disagree — shards must share the binning.
-    pub fn merge(&mut self, other: &WoeAccumulator) {
-        assert_eq!(self.pos.len(), other.pos.len(), "accumulators must share bins");
-        for (a, b) in self.pos.iter_mut().zip(&other.pos) {
-            *a += b;
-        }
-        for (a, b) in self.neg.iter_mut().zip(&other.neg) {
-            *a += b;
-        }
-    }
-
-    /// Finalize into the WoE table (identical to the single-node
-    /// [`woe_from_bins`] on the concatenated data).
-    pub fn finalize(&self) -> Vec<WoeBin> {
-        let n_bins = self.pos.len();
-        let total_pos: usize = self.pos.iter().sum();
-        let total_neg: usize = self.neg.iter().sum();
-        let tp = total_pos as f64 + SMOOTH * n_bins as f64;
-        let tn = total_neg as f64 + SMOOTH * n_bins as f64;
-        (0..n_bins)
-            .map(|i| {
-                let p_rate = (self.pos[i] as f64 + SMOOTH) / tp;
-                let n_rate = (self.neg[i] as f64 + SMOOTH) / tn;
-                let woe = (p_rate / n_rate).ln();
-                WoeBin {
-                    n_pos: self.pos[i],
-                    n_neg: self.neg[i],
-                    woe,
-                    iv_contribution: (p_rate - n_rate) * woe,
-                }
-            })
-            .collect()
-    }
-
-    /// Finalized IV.
-    pub fn information_value(&self) -> f64 {
-        self.finalize().iter().map(|b| b.iv_contribution).sum()
-    }
-}
-
-#[cfg(test)]
-mod sharded_tests {
-    use super::*;
-    use safe_data::binning::{bin_column, BinStrategy};
-
-    #[test]
-    fn sharded_iv_equals_single_node_iv() {
-        let n = 1_000;
-        let values: Vec<f64> = (0..n).map(|i| ((i * 7919) % 997) as f64).collect();
-        let labels: Vec<u8> = (0..n).map(|i| (((i * 7919) % 997) > 500) as u8).collect();
-        // Single-node reference.
-        let reference = information_value(&values, &labels, 10).unwrap();
-        // Shared binning broadcast to "workers".
-        let a = bin_column(&values, 10, BinStrategy::EqualFrequency).unwrap();
-        // Three shards.
-        let mut workers: Vec<WoeAccumulator> = Vec::new();
-        for chunk in 0..3 {
-            let lo = chunk * n / 3;
-            let hi = ((chunk + 1) * n / 3).min(n);
-            let mut acc = WoeAccumulator::new(a.n_bins);
-            acc.add_shard(&a.bins[lo..hi], &labels[lo..hi]);
-            workers.push(acc);
-        }
-        // Reduce.
-        let mut driver = WoeAccumulator::new(a.n_bins);
-        for w in &workers {
-            driver.merge(w);
-        }
-        assert!((driver.information_value() - reference).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_is_commutative_and_associative() {
-        let mut a = WoeAccumulator::new(3);
-        a.add(0, 1);
-        a.add(2, 0);
-        let mut b = WoeAccumulator::new(3);
-        b.add(1, 1);
-        b.add(1, 0);
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert!((ab.information_value() - ba.information_value()).abs() < 1e-15);
-    }
-
-    #[test]
-    fn empty_accumulator_finalizes_to_zero_iv() {
-        let acc = WoeAccumulator::new(5);
-        assert!(acc.information_value().abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "accumulators must share bins")]
-    fn mismatched_bins_panic() {
-        let mut a = WoeAccumulator::new(3);
-        a.merge(&WoeAccumulator::new(4));
-    }
-}

@@ -9,13 +9,13 @@
 //! - [`Parallelism`] — the thread-count knob carried by `SafeConfig` and
 //!   `GbmConfig` (`0` = auto-detect, `1` = the serial path, `n` = at most
 //!   `n` threads, the caller included).
-//! - [`par_chunks`] / [`par_map`] — chunked maps over index ranges whose
-//!   results are merged in **fixed chunk-index order**, so output is
-//!   bit-identical to a sequential loop regardless of thread count or
-//!   scheduling.
-//! - [`try_par_chunks`] / [`try_par_map`] — the same maps with worker
-//!   panics captured and surfaced as a [`ParPanic`] error instead of
-//!   unwinding. Every call returns only after all of its chunks have
+//! - [`try_par_chunks`] / [`try_par_map`] — chunked maps over index
+//!   ranges whose results are merged in **fixed chunk-index order**, so
+//!   output is bit-identical to a sequential loop regardless of thread
+//!   count or scheduling. Worker panics are captured and surfaced as a
+//!   [`ParPanic`] error instead of unwinding.
+//! - [`par_map`] / [`par_map_slice`] — the same map re-raising a captured
+//!   panic on the caller. Every call returns only after all of its chunks have
 //!   finished, so a panicking chunk can never leave the caller hanging.
 //!
 //! Chunks run on the calling thread and on a process-wide pool of parked
@@ -197,19 +197,6 @@ where
         .collect())
 }
 
-/// [`try_par_chunks`] that re-raises a captured worker panic on the
-/// calling thread, matching plain sequential semantics.
-pub fn par_chunks<R, F>(par: Parallelism, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-{
-    match try_par_chunks(par, n, f) {
-        Ok(v) => v,
-        Err(p) => panic!("{p}"),
-    }
-}
-
 /// Parallel map of `f` over `0..n`; results in index order, worker panics
 /// surfaced as [`ParPanic`].
 pub fn try_par_map<T, F>(par: Parallelism, n: usize, f: F) -> Result<Vec<T>, ParPanic>
@@ -231,20 +218,6 @@ where
         Ok(v) => v,
         Err(p) => panic!("{p}"),
     }
-}
-
-/// Parallel map over an explicit slice, panics surfaced as [`ParPanic`].
-pub fn try_par_map_slice<I, T, F>(
-    par: Parallelism,
-    items: &[I],
-    f: F,
-) -> Result<Vec<T>, ParPanic>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    try_par_map(par, items.len(), |i| f(&items[i]))
 }
 
 /// Parallel map over an explicit slice, re-raising worker panics.
@@ -491,7 +464,8 @@ mod tests {
 
     #[test]
     fn par_chunks_covers_range_in_order() {
-        let chunks = par_chunks(Parallelism::new(4), 100, |r| r.collect::<Vec<_>>());
+        let chunks =
+            try_par_chunks(Parallelism::new(4), 100, |r| r.collect::<Vec<_>>()).expect("no panic");
         let flat: Vec<usize> = chunks.into_iter().flatten().collect();
         assert_eq!(flat, (0..100).collect::<Vec<_>>());
     }
@@ -676,9 +650,5 @@ mod tests {
     fn slice_wrapper() {
         let items = vec!["a", "bb", "ccc"];
         assert_eq!(par_map_slice(Parallelism::new(2), &items, |s| s.len()), vec![1, 2, 3]);
-        assert_eq!(
-            try_par_map_slice(Parallelism::new(2), &items, |s| s.len()).expect("no panic"),
-            vec![1, 2, 3]
-        );
     }
 }

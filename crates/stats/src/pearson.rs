@@ -147,27 +147,6 @@ impl ExactMoments {
     }
 }
 
-/// All-pairs absolute correlation matrix (upper triangle), returned as a flat
-/// vector indexed by [`pair_index`]. Kept allocation-light for Algorithm 4's
-/// O(M²) sweep.
-pub fn abs_correlation_upper(columns: &[&[f64]]) -> Vec<f64> {
-    let m = columns.len();
-    let mut out = Vec::with_capacity(m * (m - 1) / 2);
-    for i in 0..m {
-        for j in (i + 1)..m {
-            out.push(pearson(columns[i], columns[j]).abs());
-        }
-    }
-    out
-}
-
-/// Index of pair (i, j), i < j, within the flattened upper triangle of an
-/// m×m matrix.
-pub fn pair_index(i: usize, j: usize, m: usize) -> usize {
-    debug_assert!(i < j && j < m);
-    i * m - i * (i + 1) / 2 + (j - i - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,19 +220,6 @@ mod tests {
         assert_eq!(CorrBand::of(1.0), CorrBand::ExtremelyStrong);
     }
 
-    #[test]
-    fn upper_triangle_layout() {
-        let a: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let b: Vec<f64> = a.iter().map(|v| -v).collect();
-        let c: Vec<f64> = a.iter().map(|v| v * v).collect();
-        let cols: Vec<&[f64]> = vec![&a, &b, &c];
-        let tri = abs_correlation_upper(&cols);
-        assert_eq!(tri.len(), 3);
-        assert!((tri[pair_index(0, 1, 3)] - 1.0).abs() < 1e-12);
-        assert!((tri[pair_index(0, 2, 3)] - pearson(&a, &c).abs()).abs() < 1e-12);
-        assert!((tri[pair_index(1, 2, 3)] - pearson(&b, &c).abs()).abs() < 1e-12);
-    }
-
     /// The moment-cached kernel must reproduce the two-pass routine bit
     /// for bit on NaN-free columns — signed, not just in magnitude.
     #[test]
@@ -296,18 +262,5 @@ mod tests {
         let a = ExactMoments::of(&[3.0; 10]).unwrap();
         let b = ExactMoments::of(&(0..10).map(|i| i as f64).collect::<Vec<_>>()).unwrap();
         assert_eq!(a.rho(&b), 0.0);
-    }
-
-    #[test]
-    fn pair_index_is_a_bijection() {
-        let m = 7;
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..m {
-            for j in (i + 1)..m {
-                assert!(seen.insert(pair_index(i, j, m)));
-            }
-        }
-        assert_eq!(seen.len(), m * (m - 1) / 2);
-        assert_eq!(*seen.iter().max().unwrap(), m * (m - 1) / 2 - 1);
     }
 }

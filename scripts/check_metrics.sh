@@ -3,9 +3,10 @@
 # export flag attached must produce (1) a Chrome trace that the CLI's own
 # `trace-check --format chrome` validator accepts, (2) a non-empty
 # Prometheus exposition with histogram TYPE metadata and the mandatory
-# +Inf bucket, (3) non-empty folded flamegraph stacks — and the bench
-# regression gate must pass a self-compare of BENCH_pipeline.json and fail
-# an injected regression with exit code 8.
+# +Inf bucket, (3) non-empty folded flamegraph stacks — the counting
+# allocator (`alloc-metrics`) must build into safe-cli and pass safe-obs's
+# tests, and the bench regression gate must pass a self-compare of
+# BENCH_pipeline.json and fail an injected regression with exit code 8.
 #
 # Usage: scripts/check_metrics.sh
 
@@ -42,7 +43,8 @@ echo "check_metrics: fitting with --trace-chrome/--metrics-prom/--flame-folded"
 
 # 2. Prometheus exposition is non-empty and structurally sound.
 for needle in "# TYPE safe_stage_us histogram" "safe_stage_us_bucket{" \
-              'le="+Inf"' "safe_stage_us_count" "safe_gbm_round_us"; do
+              'le="+Inf"' "safe_stage_us_count" "safe_iteration_us_count" \
+              "safe_gbm_round_us"; do
     if ! grep -qF "$needle" "$WORK/metrics.prom"; then
         echo "check_metrics: FAILED — prometheus output missing '$needle'" >&2
         exit 1
@@ -55,7 +57,12 @@ if ! grep -q "^iteration;" "$WORK/stacks.folded"; then
     exit 1
 fi
 
-# 4. bench-diff: self-compare of the checked-in document exits 0...
+# 4. The alloc-metrics feature builds and its instrumentation tests pass.
+echo "check_metrics: building and testing the alloc-metrics feature"
+cargo test --quiet -p safe-obs --features alloc-metrics
+cargo build --quiet -p safe-cli --features alloc-metrics
+
+# 5. bench-diff: self-compare of the checked-in document exits 0...
 "$CLI" bench-diff BENCH_pipeline.json BENCH_pipeline.json >/dev/null
 
 # ...and an injected across-the-board 10x slowdown trips the gate (exit 8).
@@ -71,4 +78,4 @@ if [ "$code" -ne 8 ]; then
     exit 1
 fi
 
-echo "check_metrics: OK — chrome trace valid, prom output sound, bench-diff gates"
+echo "check_metrics: OK — chrome trace valid, prom output sound, alloc-metrics builds, bench-diff gates"

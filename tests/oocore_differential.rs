@@ -8,7 +8,7 @@
 //! AUC bit, at every thread count and chunk size. These tests pin that
 //! contract (see `DESIGN.md`, "Out-of-core backend").
 
-use safe::core::{Safe, SafeConfig, SafeOutcome};
+use safe::core::{IterationStatus, Safe, SafeConfig, SafeOutcome};
 use safe::data::chunk::ChunkOptions;
 use safe::data::split::train_test_split;
 use safe::data::Dataset;
@@ -236,6 +236,54 @@ fn spilled_fit_on_ten_times_budget_is_bit_identical_and_bounded() {
         entries_before,
         "spill segments leaked after drop"
     );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A spill segment lost after construction is a worker fault, not a crash:
+/// the miner's binning returns the read error, iteration 0 degrades at
+/// `mine`, and the fit still returns the identity plan.
+#[test]
+fn lost_spill_segments_degrade_the_mining_iteration() {
+    let base = generate(&SyntheticConfig {
+        n_rows: 800,
+        dim: 4,
+        n_signal: 2,
+        n_interactions: 1,
+        seed: 7,
+        ..Default::default()
+    });
+    let root = spill_root("lost_segments");
+    {
+        let spilled = base
+            .to_chunked(ChunkOptions::spilled(64, 1, &root))
+            .unwrap();
+        for store_dir in std::fs::read_dir(&root).unwrap() {
+            for segment in std::fs::read_dir(store_dir.unwrap().path()).unwrap() {
+                std::fs::remove_file(segment.unwrap().path()).unwrap();
+            }
+        }
+        let outcome = Safe::new(SafeConfig {
+            seed: 5,
+            n_iterations: 2,
+            ..SafeConfig::paper()
+        })
+        .fit(&spilled, None)
+        .expect("a lost spill segment must degrade the iteration, not fail the fit");
+        assert_eq!(outcome.history.len(), 1);
+        assert!(
+            matches!(
+                &outcome.history[0].status,
+                IterationStatus::Degraded { stage: "mine", .. }
+            ),
+            "{:?}",
+            outcome.history[0].status
+        );
+        assert_eq!(outcome.plan.outputs.len(), base.n_cols());
+        assert!(
+            outcome.plan.steps.is_empty(),
+            "the fallback is the identity plan"
+        );
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 

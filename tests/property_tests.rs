@@ -19,10 +19,6 @@ fn finite_column(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6f64..1e6, 2..max_len)
 }
 
-fn labels_like(n: usize) -> impl Strategy<Value = Vec<u8>> {
-    prop::collection::vec(0u8..=1, n..=n)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
