@@ -19,14 +19,14 @@
 
 use safe_core::engineer::FeatureEngineer;
 use safe_core::plan::{FeaturePlan, PlanStep};
-use safe_data::binning::{bin_column, BinStrategy};
 use safe_data::dataset::Dataset;
 use safe_data::split::shuffled_indices;
 use safe_ops::op::Operator;
 use safe_ops::regression::{QuadRidgeResidual, RidgePrediction, RidgeResidual};
-use safe_stats::entropy::information_gain;
 use safe_stats::par::{par_map_slice, Parallelism};
 use safe_stats::pearson::pearson;
+
+use crate::ig_of;
 
 /// AutoLearn configuration.
 #[derive(Debug, Clone)]
@@ -59,13 +59,6 @@ impl Default for AutoLearn {
             seed: 0,
             parallelism: Parallelism::auto(),
         }
-    }
-}
-
-fn ig_of(values: &[f64], labels: &[u8], beta: usize) -> f64 {
-    match bin_column(values, beta, BinStrategy::EqualFrequency) {
-        Ok(a) => information_gain(&a.bins, labels, a.n_bins),
-        Err(_) => 0.0,
     }
 }
 

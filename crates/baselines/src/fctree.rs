@@ -13,10 +13,10 @@ use rand::{Rng, SeedableRng};
 
 use safe_core::engineer::FeatureEngineer;
 use safe_core::plan::{FeaturePlan, PlanStep};
-use safe_data::binning::{bin_column, BinStrategy};
 use safe_data::dataset::Dataset;
 use safe_ops::registry::OperatorRegistry;
-use safe_stats::entropy::information_gain;
+
+use crate::ig_of;
 
 /// FCTree configuration.
 #[derive(Debug, Clone)]
@@ -48,13 +48,6 @@ impl Default for FcTree {
             operators: OperatorRegistry::arithmetic(),
             seed: 0,
         }
-    }
-}
-
-fn ig_of(values: &[f64], labels: &[u8], beta: usize) -> f64 {
-    match bin_column(values, beta, BinStrategy::EqualFrequency) {
-        Ok(a) => information_gain(&a.bins, labels, a.n_bins),
-        Err(_) => 0.0,
     }
 }
 
@@ -106,7 +99,7 @@ impl FcTree {
     /// node values — faithful to Fan et al.'s decision-tree induction (this
     /// O(n log n)-per-feature-per-node scan is what gives FCTree its
     /// `O(ne·N·(log N)²)` cost, Eq. 9). Returns `(gain, threshold)`.
-    fn best_split(values: &[f64], rows: &[usize], labels: &[u8], _beta: usize) -> (f64, f64) {
+    fn best_split(values: &[f64], rows: &[usize], labels: &[u8]) -> (f64, f64) {
         let mut pairs: Vec<(f64, u8)> = rows
             .iter()
             .filter(|&&r| values[r].is_finite())
@@ -172,7 +165,7 @@ impl FcTree {
         let mut best_col: Option<Vec<f64>> = None;
         let mut best_step: Option<PlanStep> = None;
         for &col in cols {
-            let (gain, threshold) = Self::best_split(col, &rows, labels, self.beta);
+            let (gain, threshold) = Self::best_split(col, &rows, labels);
             if gain > best_gain {
                 best_gain = gain;
                 best_threshold = threshold;
@@ -183,7 +176,7 @@ impl FcTree {
         // Constructed candidates.
         for _ in 0..self.ne {
             if let Some(c) = self.draw_candidate(cols, names, labels, rng) {
-                let (gain, threshold) = Self::best_split(&c.values, &rows, labels, self.beta);
+                let (gain, threshold) = Self::best_split(&c.values, &rows, labels);
                 if gain > best_gain {
                     best_gain = gain;
                     best_threshold = threshold;

@@ -36,7 +36,19 @@ pub use autolearn::AutoLearn;
 pub use fctree::FcTree;
 pub use tfc::Tfc;
 
+use safe_data::binning::{bin_column, BinStrategy};
 use safe_data::dataset::Dataset;
+use safe_stats::entropy::information_gain;
+
+/// Information gain of a numeric column against binary labels after
+/// equal-frequency binning into `beta` bins; 0 when the column cannot be
+/// binned.
+pub(crate) fn ig_of(values: &[f64], labels: &[u8], beta: usize) -> f64 {
+    match bin_column(values, beta, BinStrategy::EqualFrequency) {
+        Ok(a) => information_gain(&a.bins, labels, a.n_bins),
+        Err(_) => 0.0,
+    }
+}
 
 /// Every feature column of `train` as a slice. The baselines work on raw
 /// columns, so a chunked dataset is an `Err` from `engineer`, not a panic.

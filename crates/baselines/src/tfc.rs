@@ -17,11 +17,11 @@
 
 use safe_core::engineer::FeatureEngineer;
 use safe_core::plan::{FeaturePlan, PlanStep};
-use safe_data::binning::{bin_column, BinStrategy};
 use safe_data::dataset::Dataset;
 use safe_ops::registry::OperatorRegistry;
-use safe_stats::entropy::information_gain;
 use safe_stats::par::{par_map, Parallelism};
+
+use crate::ig_of;
 
 /// TFC configuration.
 #[derive(Debug, Clone)]
@@ -45,15 +45,6 @@ impl Default for Tfc {
             operators: OperatorRegistry::arithmetic(),
             parallelism: Parallelism::auto(),
         }
-    }
-}
-
-/// Information gain of a numeric column against binary labels after
-/// equal-frequency binning.
-fn ig_of(values: &[f64], labels: &[u8], beta: usize) -> f64 {
-    match bin_column(values, beta, BinStrategy::EqualFrequency) {
-        Ok(a) => information_gain(&a.bins, labels, a.n_bins),
-        Err(_) => 0.0,
     }
 }
 

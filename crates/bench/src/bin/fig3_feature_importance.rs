@@ -10,7 +10,6 @@
 use safe_bench::{engineer_split, Flags, Method};
 use safe_data::dataset::FeatureMeta;
 use safe_datagen::benchmarks::generate_benchmark_scaled;
-use safe_gbm::binner::BinnedDataset;
 use safe_gbm::importance::{FeatureImportance, ImportanceKind};
 
 fn main() {
@@ -65,8 +64,6 @@ fn main() {
             eprintln!("{}: forest failed", spec.name);
             continue;
         };
-        // warm cache parity with training
-        let _ = BinnedDataset::fit(&combined, 64, safe_stats::par::Parallelism::auto());
         let imp: FeatureImportance = model.importance(ImportanceKind::TotalGain);
         let order = imp.ranking();
         let max_score = imp.scores[order[0]].max(1e-12);

@@ -7,11 +7,12 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use safe_data::binning::BinEdges;
-use safe_data::column::{ColumnRead, ColumnView};
 use safe_data::dataset::Dataset;
 use safe_gbm::booster::GbmModel;
 use safe_stats::entropy::{gain_ratio, joint_cells};
-use safe_stats::par::{ParPanic, Parallelism};
+use safe_stats::par::Parallelism;
+
+use crate::error::{try_par_read, StageError};
 
 /// A candidate feature combination: the distinct split features of (a subset
 /// of) one tree path, with the split values observed for each.
@@ -102,8 +103,8 @@ pub struct RankStats {
 
 /// Algorithm 2: score each combination by the information gain ratio of the
 /// partition its split values induce, and keep the top γ. Scoring runs in
-/// parallel under `par` and also reports telemetry; worker panics surface
-/// as [`ParPanic`].
+/// parallel under `par` and also reports telemetry; a worker panic or a
+/// failed column read surfaces as [`StageError`].
 ///
 /// A combination of q features with value sets `V_1..V_q` splits the records
 /// into `∏ (|V_i| + 1)` cells; the gain ratio of that partition against the
@@ -113,7 +114,7 @@ pub fn rank_combinations(
     train: &Dataset,
     gamma: usize,
     par: Parallelism,
-) -> Result<(Vec<Combination>, RankStats), ParPanic> {
+) -> Result<(Vec<Combination>, RankStats), StageError> {
     let mut stats = RankStats {
         candidates_in: combos.len() as u64,
         ..RankStats::default()
@@ -126,38 +127,28 @@ pub fn rank_combinations(
         stats.gamma_truncated = stats.candidates_in - combos.len() as u64;
         return Ok((combos, stats));
     };
-    let views: Vec<ColumnView<'_>> = train.column_views().collect();
     // Score combinations in parallel (each builds its own small binnings).
-    let scores = safe_stats::par::try_par_map(par, combos.len(), |i| {
+    let scores = try_par_read(par, combos.len(), |i| {
         let combo = &combos[i];
         // Stale feature indices (not from this dataset) score zero.
-        if combo.features.iter().any(|&f| f >= views.len()) {
-            return (0.0, 0u64);
+        if combo.features.iter().any(|&f| f >= train.n_cols()) {
+            return Ok((0.0, 0u64));
         }
-        // Bin assignment walks the whole column: materialize it per worker
-        // (zero-copy when resident, scratch gather when chunked). Spill
-        // failures panic and surface as [`ParPanic`].
+        // Bin assignment walks the whole column: read it per worker
+        // (borrowed when resident, gathered into scratch when chunked).
         let mut scratch = Vec::new();
-        let assignments: Vec<(Vec<usize>, usize)> = combo
-            .features
-            .iter()
-            .zip(&combo.split_values)
-            .map(|(&f, values)| {
-                let edges = BinEdges::from_cuts(values.clone());
-                let col = match views[f].materialize(&mut scratch) {
-                    Ok(c) => c,
-                    Err(e) => panic!("column read failed during combination ranking: {e}"),
-                };
-                let a = edges.assign_with_missing(col);
-                (a.bins, a.n_bins)
-            })
-            .collect();
+        let mut assignments: Vec<(Vec<usize>, usize)> = Vec::with_capacity(combo.arity());
+        for (&f, values) in combo.features.iter().zip(&combo.split_values) {
+            let edges = BinEdges::from_cuts(values.clone());
+            let a = edges.assign_with_missing(train.read_column(f, &mut scratch)?);
+            assignments.push((a.bins, a.n_bins));
+        }
         let refs: Vec<(&[usize], usize)> = assignments
             .iter()
             .map(|(bins, n)| (bins.as_slice(), *n))
             .collect();
         let (cells, n_cells) = joint_cells(&refs);
-        (gain_ratio(&cells, labels, n_cells), n_cells as u64)
+        Ok((gain_ratio(&cells, labels, n_cells), n_cells as u64))
     })?;
     for (combo, (score, n_cells)) in combos.iter_mut().zip(scores) {
         combo.gain_ratio = score;

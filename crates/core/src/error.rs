@@ -13,7 +13,9 @@
 use std::fmt;
 
 use safe_data::audit::AuditError;
+use safe_data::DataError;
 use safe_gbm::error::GbmError;
+use safe_stats::par::{try_par_map, ParPanic, Parallelism};
 
 /// Errors from the SAFE pipeline.
 #[derive(Debug)]
@@ -37,9 +39,6 @@ pub enum SafeError {
         /// The underlying booster error.
         source: GbmError,
     },
-    /// An internal model failed to train (legacy string form, kept for
-    /// stages without a typed error).
-    Train(String),
     /// Checkpoint/resume failure: no usable checkpoint (every candidate
     /// file failed to load), a fingerprint mismatch between the checkpoint
     /// and the resuming configuration, or a missing checkpoint directory.
@@ -60,11 +59,13 @@ pub enum SafeError {
 }
 
 impl SafeError {
-    /// Wrap a captured worker panic with the pipeline stage it poisoned.
-    pub fn worker_panic(stage: &'static str, panic: safe_stats::par::ParPanic) -> SafeError {
-        SafeError::WorkerPanic {
-            stage,
-            message: panic.message,
+    /// A parallel stage's failure in `stage`: a worker panic becomes
+    /// [`SafeError::WorkerPanic`], a column read failure
+    /// [`SafeError::Data`] with the read error's text.
+    pub fn stage(stage: &'static str, e: StageError) -> SafeError {
+        match e {
+            StageError::Panic(p) => SafeError::WorkerPanic { stage, message: p.message },
+            StageError::Read(e) => SafeError::Data(e.to_string()),
         }
     }
 
@@ -95,7 +96,6 @@ impl fmt::Display for SafeError {
             SafeError::Gbm { iteration, stage, .. } => {
                 write!(f, "booster failed at iteration {iteration}, stage '{stage}'")
             }
-            SafeError::Train(m) => write!(f, "training error: {m}"),
             SafeError::Checkpoint(m) => write!(f, "checkpoint error: {m}"),
             SafeError::WorkerPanic { stage, message } => {
                 write!(f, "worker thread panicked in stage '{stage}': {message}")
@@ -118,6 +118,40 @@ impl From<AuditError> for SafeError {
     fn from(e: AuditError) -> Self {
         SafeError::Audit(e)
     }
+}
+
+/// Why a parallel stage function stopped: a worker panicked, or a column
+/// could not be read back (a lost spill segment). The pipeline degrades the
+/// iteration on either.
+#[derive(Debug)]
+pub enum StageError {
+    /// A worker panicked; the pool captured its payload.
+    Panic(ParPanic),
+    /// A column read failed.
+    Read(DataError),
+}
+
+impl From<ParPanic> for StageError {
+    fn from(p: ParPanic) -> Self {
+        StageError::Panic(p)
+    }
+}
+
+impl From<DataError> for StageError {
+    fn from(e: DataError) -> Self {
+        StageError::Read(e)
+    }
+}
+
+/// [`try_par_map`] over workers that read columns: a worker panic, or else
+/// the lowest-index read failure, is the error — the same for any thread
+/// count.
+pub(crate) fn try_par_read<T, F>(par: Parallelism, n: usize, f: F) -> Result<Vec<T>, StageError>
+where
+    T: Send,
+    F: Fn(usize) -> Result<T, DataError> + Sync,
+{
+    Ok(try_par_map(par, n, f)?.into_iter().collect::<Result<_, _>>()?)
 }
 
 #[cfg(test)]
@@ -151,7 +185,7 @@ mod tests {
     #[test]
     fn worker_panic_carries_stage_and_payload() {
         let p = safe_stats::par::ParPanic { message: "poisoned column 3".into() };
-        let e = SafeError::worker_panic("iv-filter", p);
+        let e = SafeError::stage("iv-filter", StageError::Panic(p));
         let msg = e.to_string();
         assert!(msg.contains("iv-filter"), "{msg}");
         assert!(msg.contains("poisoned column 3"), "{msg}");

@@ -10,12 +10,13 @@
 
 use std::collections::HashSet;
 
-use safe_data::column::{ColumnRead, ColumnView};
 use safe_data::dataset::Dataset;
+use safe_data::DataError;
 use safe_ops::registry::OperatorRegistry;
-use safe_stats::par::{ParPanic, Parallelism};
+use safe_stats::par::Parallelism;
 
 use crate::combine::Combination;
+use crate::error::{try_par_read, StageError};
 
 /// One freshly generated feature: provenance, frozen operator parameters,
 /// and materialized train/valid columns.
@@ -40,52 +41,17 @@ pub fn feature_name(op: &str, parents: &[&str]) -> String {
     format!("{op}({})", parents.join(","))
 }
 
-/// One materialized parent column: borrowed zero-copy when resident,
-/// gathered into owned scratch when chunked, or absent (a validation set
-/// narrower than train — schema drift — simply has no such column).
-enum ParentCol<'a> {
-    Borrowed(&'a [f64]),
-    Owned(Vec<f64>),
-    Missing,
-}
-
-impl ParentCol<'_> {
-    fn slice(&self) -> Option<&[f64]> {
-        match self {
-            ParentCol::Borrowed(s) => Some(s),
-            ParentCol::Owned(v) => Some(v.as_slice()),
-            ParentCol::Missing => None,
-        }
-    }
-}
-
-/// Materialize the parent columns of one combination. `allow_missing` is
-/// set for validation views, where an out-of-range feature index means "no
-/// column" rather than a stale combination (the caller screens train
-/// indices first). A spill-read failure panics — generation workers run
-/// under [`safe_stats::par::try_par_map`], which captures it as a
-/// [`ParPanic`] for the pipeline to degrade on.
-fn gather_parents<'a>(
-    views: &'a [ColumnView<'a>],
+/// The parent columns `feats` of one combination, each read into its own
+/// slot of `scratch` (borrowed when resident, gathered when chunked).
+fn read_parents<'a>(
+    ds: &'a Dataset,
     feats: &[usize],
-    allow_missing: bool,
-) -> Vec<ParentCol<'a>> {
+    scratch: &'a mut [Vec<f64>],
+) -> Result<Vec<&'a [f64]>, DataError> {
     feats
         .iter()
-        .map(|&f| match views.get(f) {
-            None if allow_missing => ParentCol::Missing,
-            None => panic!("parent column {f} out of range during generation"),
-            Some(v) => match v.as_slice() {
-                Some(s) => ParentCol::Borrowed(s),
-                None => {
-                    let mut buf = Vec::new();
-                    match v.gather_into(&mut buf) {
-                        Ok(()) => ParentCol::Owned(buf),
-                        Err(e) => panic!("column read failed during generation: {e}"),
-                    }
-                }
-            },
-        })
+        .zip(scratch)
+        .map(|(&f, buf)| ds.read_column(f, buf))
         .collect()
 }
 
@@ -168,7 +134,8 @@ enum ComboWork {
 /// all-missing on the training set are discarded immediately (they cannot
 /// survive the IV filter anyway and would waste selection work). Also
 /// reports per-operator counts and how many candidates were skipped (and
-/// why). Worker panics surface as [`ParPanic`].
+/// why). A worker panic or a failed column read surfaces as
+/// [`StageError`].
 ///
 /// Operator fitting and application run one combination per work item; the
 /// results are then merged serially in combination order, so name-collision
@@ -180,29 +147,31 @@ pub fn generate_features(
     combos: &[Combination],
     registry: &OperatorRegistry,
     par: Parallelism,
-) -> Result<(Vec<GeneratedFeature>, GenerateStats), ParPanic> {
+) -> Result<(Vec<GeneratedFeature>, GenerateStats), StageError> {
     let mut stats = GenerateStats::default();
     let labels = train.labels();
-    let all_train_views: Vec<ColumnView<'_>> = train.column_views().collect();
-    let all_valid_views: Option<Vec<ColumnView<'_>>> =
-        valid.map(|v| v.column_views().collect());
 
     // Phase 1 (parallel): fit + apply every candidate of every combination.
-    let per_combo: Vec<ComboWork> = safe_stats::par::try_par_map(par, combos.len(), |ci| {
+    let per_combo: Vec<ComboWork> = try_par_read(par, combos.len(), |ci| {
         let combo = &combos[ci];
+        let feats = &combo.features;
         // Combinations referencing columns outside this dataset (stale
         // indices) cannot be generated; skip rather than panic.
-        if combo.features.iter().any(|&f| f >= all_train_views.len()) {
-            return ComboWork::Stale;
+        if feats.iter().any(|&f| f >= train.n_cols()) {
+            return Ok(ComboWork::Stale);
         }
-        // Materialize this combination's parent columns once per worker:
-        // resident parents borrow zero-copy, chunked parents gather into
-        // owned scratch. Operators fit/apply on random-access slices.
-        let feats = &combo.features;
-        let t_parents = gather_parents(&all_train_views, feats, false);
-        let v_parents = all_valid_views
-            .as_ref()
-            .map(|vv| gather_parents(vv, feats, true));
+        // Read this combination's parent columns once per worker; operators
+        // fit/apply on random-access slices. A validation set narrower than
+        // train (schema drift) simply gets no generated columns.
+        let mut t_scratch = vec![Vec::new(); feats.len()];
+        let t_parents = read_parents(train, feats, &mut t_scratch)?;
+        let mut v_scratch = vec![Vec::new(); feats.len()];
+        let v_parents = match valid {
+            Some(v) if feats.iter().all(|&f| f < v.n_cols()) => {
+                Some(read_parents(v, feats, &mut v_scratch)?)
+            }
+            _ => None,
+        };
         let pos = |f: usize| feats.iter().position(|&x| x == f).unwrap_or(0);
         let mut candidates = Vec::new();
         for op in registry.by_arity(combo.arity()) {
@@ -217,8 +186,7 @@ pub fn generate_features(
                     .map(|&f| train.meta()[f].name.as_str())
                     .collect();
                 let name = feature_name(op.name(), &parent_names);
-                let train_cols: Vec<&[f64]> =
-                    order.iter().map(|&f| t_parents[pos(f)].slice().unwrap_or(&[])).collect();
+                let train_cols: Vec<&[f64]> = order.iter().map(|&f| t_parents[pos(f)]).collect();
                 let outcome = match op.fit(&train_cols, labels) {
                     // e.g. supervised op without labels
                     Err(_) => CandidateOutcome::FitError,
@@ -227,13 +195,9 @@ pub fn generate_features(
                         if is_degenerate(&train_values) {
                             CandidateOutcome::Degenerate
                         } else {
-                            // A validation set narrower than train (schema
-                            // drift) simply gets no generated column for
-                            // this feature.
-                            let valid_values = v_parents.as_ref().and_then(|vp| {
-                                let cols: Option<Vec<&[f64]>> =
-                                    order.iter().map(|&f| vp[pos(f)].slice()).collect();
-                                cols.map(|cols| fitted.apply(&cols))
+                            let valid_values = v_parents.as_ref().map(|vp| {
+                                let cols: Vec<&[f64]> = order.iter().map(|&f| vp[pos(f)]).collect();
+                                fitted.apply(&cols)
                             });
                             CandidateOutcome::Feature {
                                 params: fitted.params(),
@@ -251,7 +215,7 @@ pub fn generate_features(
                 });
             }
         }
-        ComboWork::Candidates(candidates)
+        Ok(ComboWork::Candidates(candidates))
     })?;
 
     // Phase 2 (serial, fixed order): collision bookkeeping and stats, in

@@ -38,8 +38,8 @@
 //! iteration as an [`safe::IterationStatus`]) instead of aborting the run.
 
 #![warn(missing_docs)]
-#![warn(clippy::unwrap_used, clippy::expect_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod checkpoint;
 pub mod combine;
@@ -55,7 +55,7 @@ pub mod selection;
 pub use checkpoint::{Checkpoint, CheckpointStore, CkptError, ConfigFingerprint, Terminal};
 pub use config::{GenerationStrategy, SafeConfig, SafeConfigBuilder, SelectionMode};
 pub use engineer::{FeatureEngineer, Identity};
-pub use error::SafeError;
+pub use error::{SafeError, StageError};
 pub use explain::{explain_plan, explanation_report, FeatureExplanation};
 pub use plan::{CompiledPlan, FeaturePlan, PlanError, RowScratch};
 pub use safe::{IterationReport, IterationStatus, Safe, SafeOutcome};

@@ -11,7 +11,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use safe_data::column::ColumnRead;
 use safe_data::dataset::{Dataset, FeatureMeta};
 use safe_data::record::{hex, Reader, Record, RecordError};
 use safe_ops::op::{FittedOperator, OpError};
@@ -323,17 +322,18 @@ impl CompiledPlan {
     pub fn apply(&self, ds: &Dataset) -> Result<Dataset, PlanError> {
         let n_slots = self.input_names.len() + self.steps.len();
         let mut slots: Vec<Option<Vec<f64>>> = Vec::with_capacity(n_slots);
+        let mut scratch = Vec::new();
         for name in &self.input_names {
-            // Gather through the column view so chunked/spilled inputs work
-            // too: plan application materializes exactly its input columns
-            // (memory bounded by plan width, not table width).
-            let view = ds
-                .column_view_by_name(name)
+            // Read through `read_column` so chunked/spilled inputs work too:
+            // plan application copies exactly its input columns (memory
+            // bounded by plan width, not table width).
+            let idx = ds
+                .feature_index(name)
                 .map_err(|_| PlanError::MissingInput(name.clone()))?;
-            let mut col = Vec::new();
-            view.gather_into(&mut col)
+            let col = ds
+                .read_column(idx, &mut scratch)
                 .map_err(|e| PlanError::Data(e.to_string()))?;
-            slots.push(Some(col));
+            slots.push(Some(col.to_vec()));
         }
         slots.resize_with(n_slots, || None);
         // Compilation orders steps topologically, so parent slots are always

@@ -26,11 +26,11 @@ use safe_gbm::binner::BinCache;
 use safe_gbm::booster::{Gbm, GbmModel};
 use safe_gbm::error::GbmError;
 use safe_obs::{stages, ReportBuilder, RunReport, Waterfall};
-use safe_stats::par::ParPanic;
 
 use crate::checkpoint::{Checkpoint, CheckpointStore, ConfigFingerprint, Terminal};
 use crate::combine::{mine_combinations, random_combinations, rank_combinations, Combination};
 use crate::config::{GenerationStrategy, SafeConfig, SelectionMode};
+use crate::error::StageError;
 use crate::generate::{generate_features, GeneratedFeature};
 use crate::plan::{FeaturePlan, PlanStep};
 use crate::selection::staged::{staged_prune, StagedConfig};
@@ -425,11 +425,11 @@ impl Safe {
         rb: &mut ReportBuilder<'_>,
     ) -> Result<(AuditReport, Option<Dataset>), SafeError> {
         if resuming {
-            return Ok(enforce(train, &self.config.audit)?);
+            return Ok(enforce(train, &self.config.audit, self.config.beta)?);
         }
         let (report, repaired) = {
             let mut g = rb.stage(stages::AUDIT);
-            let result = enforce(train, &self.config.audit);
+            let result = enforce(train, &self.config.audit, self.config.beta);
             if let Ok((report, _)) = &result {
                 g.counter("findings", report.findings.len() as u64);
                 g.counter("repairs", report.actions.len() as u64);
@@ -675,7 +675,7 @@ impl Safe {
                 let mut g = st.rb.stage(stages::RANK_COMBOS);
                 g.counter("threads", par.resolve() as u64);
                 let (ranked, stats) = rank_combinations(combos, &st.train, self.config.gamma, par)
-                    .map_err(|p| SafeError::worker_panic("rank-combos", p))?;
+                    .map_err(|e| SafeError::stage("rank-combos", e))?;
                 g.counter("candidates_in", stats.candidates_in);
                 g.counter("cells_evaluated", stats.cells_evaluated);
                 g.counter("gamma_truncated", stats.gamma_truncated);
@@ -731,7 +731,7 @@ impl Safe {
         let registry = &self.config.operators;
         let (generated, stats) =
             generate_features(&st.train, st.valid.as_ref(), ranked, registry, par)
-                .map_err(|p| StageFailure::panic("generate", p))?;
+                .map_err(|e| StageFailure::stage("generate", e))?;
         for (op, count) in &stats.per_op {
             g.counter(&format!("op_{op}"), *count);
         }
@@ -759,7 +759,7 @@ impl Safe {
         g.counter("threads", par.resolve() as u64);
         g.counter("finalist_target", cfg.finalist_target as u64);
         let (finalists, rep) = staged_prune(candidates, &all, &cfg, par)
-            .map_err(|p| StageFailure::panic("staged-prune", p))?;
+            .map_err(|e| StageFailure::stage("staged-prune", e))?;
         g.counter("rungs", rep.rungs.len() as u64);
         g.counter("rows_scored", rep.rows_scored());
         g.counter("short_circuited", rep.short_circuited as u64);
@@ -781,7 +781,7 @@ impl Safe {
         let mut g = st.rb.stage(stages::IV_FILTER);
         g.counter("threads", par.resolve() as u64);
         let survivors = iv_filter(pool, self.config.alpha, self.config.beta, par)
-            .map_err(|p| StageFailure::panic("iv-filter", p))?;
+            .map_err(|e| StageFailure::stage("iv-filter", e))?;
         g.counter("dropped_alpha", (n_pool - survivors.len()) as u64);
         g.set_flow(n_pool as u64, survivors.len() as u64);
         Ok(survivors)
@@ -799,7 +799,7 @@ impl Safe {
         let mut g = st.rb.stage(stages::REDUNDANCY);
         g.counter("threads", par.resolve() as u64);
         let (kept, pairs) = redundancy_filter(pool, survivors, theta, par)
-            .map_err(|p| StageFailure::panic("redundancy", p))?;
+            .map_err(|e| StageFailure::stage("redundancy", e))?;
         g.counter("pairs_compared", pairs);
         g.counter("dropped_theta", (survivors.len() - kept.len()) as u64);
         g.set_flow(survivors.len() as u64, kept.len() as u64);
@@ -971,9 +971,9 @@ impl StageFailure {
         }
     }
 
-    /// A worker panic captured inside `stage`.
-    fn panic(stage: &'static str, panic: ParPanic) -> StageFailure {
-        StageFailure::new(stage, SafeError::worker_panic(stage, panic).chain_string())
+    /// A worker panic or a failed column read inside `stage`.
+    fn stage(stage: &'static str, e: StageError) -> StageFailure {
+        StageFailure::new(stage, SafeError::stage(stage, e).chain_string())
     }
 }
 
@@ -1405,6 +1405,17 @@ mod tests {
             outcome.plan.input_names.iter().any(|n| n == "konst"),
             "warn policy leaves the schema untouched"
         );
+    }
+
+    /// The audit's too-few-rows advisory compares the row count with the β
+    /// the IV stage uses, not a separate default.
+    #[test]
+    fn audit_advises_against_the_iv_bin_count() {
+        let train = interaction_data(15, 14);
+        let config = SafeConfig { beta: 20, ..SafeConfig::paper() };
+        let outcome = Safe::new(config).fit(&train, None).unwrap();
+        let want = safe_data::AuditFinding::TooFewRows { rows: 15, bins: 20 };
+        assert!(outcome.audit.findings.contains(&want), "{:?}", outcome.audit.findings);
     }
 
     #[test]

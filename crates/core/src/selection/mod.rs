@@ -3,9 +3,9 @@
 //! Each step has one entry point: [`iv_filter`] (Algorithm 3),
 //! [`redundancy_filter`] (Algorithm 4) and [`rank_and_cap`] (Section
 //! IV-C3). Each takes an explicit [`Parallelism`] (the ranker carries its
-//! own in [`GbmConfig`]) and returns a captured worker panic or booster
-//! failure as an error, so the caller can degrade the iteration instead of
-//! unwinding the run.
+//! own in [`GbmConfig`]) and returns a captured worker panic, a failed
+//! column read or a booster failure as an error, so the caller can degrade
+//! the iteration instead of unwinding the run.
 //!
 //! [`staged`] adds the successive-halving pruner behind
 //! [`crate::config::SelectionMode::Staged`]: candidates are whittled down
@@ -14,18 +14,18 @@
 
 pub mod staged;
 
-use std::sync::OnceLock;
-
-use safe_data::column::{ColumnRead, ColumnView};
 use safe_data::dataset::Dataset;
+use safe_data::DataError;
 use safe_gbm::binner::BinCache;
 use safe_gbm::booster::Gbm;
 use safe_gbm::config::GbmConfig;
 use safe_gbm::error::GbmError;
 use safe_gbm::importance::ImportanceKind;
 use safe_stats::iv::information_value;
-use safe_stats::par::{ParPanic, Parallelism};
+use safe_stats::par::{try_par_chunks, Parallelism};
 use safe_stats::pearson::{pearson, ExactMoments};
+
+use crate::error::{try_par_read, StageError};
 
 /// Algorithm 3: compute the IV of every candidate column (β equal-frequency
 /// bins, in parallel under `par`) and keep those with `IV > α`. Returns the
@@ -34,33 +34,31 @@ use safe_stats::pearson::{pearson, ExactMoments};
 /// Unlabeled data has no IV, so nothing can clear α: the result is empty
 /// (the caller treats an empty survivor set as "keep the current features
 /// and stop", never as a panic). A panic inside a worker (one poisoned
-/// column) is captured and returned as [`ParPanic`].
+/// column) or a failed column read is returned as [`StageError`].
 pub fn iv_filter(
     train: &Dataset,
     alpha: f64,
     beta: usize,
     par: Parallelism,
-) -> Result<Vec<(usize, f64)>, ParPanic> {
+) -> Result<Vec<(usize, f64)>, StageError> {
     safe_data::failpoint!("select/iv-empty" => return Ok(Vec::new()));
     let Some(labels) = train.labels() else {
         return Ok(Vec::new());
     };
-    let views: Vec<ColumnView<'_>> = train.column_views().collect();
-    let ivs = safe_stats::par::try_par_map(par, views.len(), |f| {
-        safe_data::failpoint!(
-            "select/iv-worker-panic" => panic!("injected worker panic: select/iv-worker-panic")
-        );
-        // Materialize is zero-copy for resident columns; chunked columns
-        // gather into per-worker scratch, so at most one column per thread
-        // is resident at a time. A spill-read failure panics here and is
-        // captured as [`ParPanic`], degrading the iteration like any other
-        // worker fault instead of unwinding the run.
+    let ivs = try_par_read(par, train.n_cols(), |f| {
+        // The injected panic stands in for a worker fault.
+        #[allow(clippy::panic)]
+        {
+            safe_data::failpoint!(
+                "select/iv-worker-panic" => panic!("injected worker panic: select/iv-worker-panic")
+            );
+        }
+        // A resident column is borrowed; a chunked one is gathered into
+        // per-worker scratch, so at most one column per thread is resident
+        // at a time.
         let mut scratch = Vec::new();
-        let col = match views[f].materialize(&mut scratch) {
-            Ok(col) => col,
-            Err(e) => panic!("column read failed during IV scan: {e}"),
-        };
-        information_value(col, labels, beta).unwrap_or(0.0)
+        let col = train.read_column(f, &mut scratch)?;
+        Ok(information_value(col, labels, beta).unwrap_or(0.0))
     })?;
     Ok(ivs
         .into_iter()
@@ -82,7 +80,8 @@ pub fn iv_filter(
 ///
 /// Returns surviving column indices in descending-IV order plus the number
 /// of candidate/kept pairs correlation-tested. Each candidate's pairs are
-/// tested in parallel under `par`; worker panics surface as [`ParPanic`].
+/// tested in parallel under `par`; a worker panic or a failed column read
+/// surfaces as [`StageError`].
 ///
 /// The kernel is the per-column moment cache ([`ExactMoments`]): NaN-free
 /// pairs reduce to one centered dot product that reproduces the two-pass
@@ -94,31 +93,39 @@ pub fn redundancy_filter(
     survivors: &[(usize, f64)],
     theta: f64,
     par: Parallelism,
-) -> Result<(Vec<usize>, u64), ParPanic> {
-    let order = descending_iv(survivors);
-    let n_cols = train.n_cols();
-    // Moments are computed at most once per column, lazily on the first
-    // pair that touches it, and shared across scan workers.
-    let moments: Vec<OnceLock<Option<ExactMoments>>> =
-        (0..n_cols).map(|_| OnceLock::new()).collect();
+) -> Result<(Vec<usize>, u64), StageError> {
     let mut pairs_compared: u64 = 0;
-    let mut kept: Vec<usize> = Vec::new();
-    for (candidate, _) in order {
+    // Kept columns with their moments (`None` for a column with missing
+    // cells), computed once per candidate before its pairs fan out.
+    let mut kept: Vec<(usize, Option<ExactMoments>)> = Vec::new();
+    for (candidate, _) in descending_iv(survivors) {
         // Out-of-range survivor indices cannot be kept (defensive: survivor
         // lists always come from iv_filter over the same dataset).
-        if candidate >= n_cols {
+        if candidate >= train.n_cols() {
             continue;
         }
-        // Compare against all kept features in parallel; any hit disqualifies.
+        let moments = ExactMoments::of(train.read_column(candidate, &mut Vec::new())?);
+        let this = (candidate, moments.as_ref());
+        // Compare against all kept features in parallel; any hit
+        // disqualifies. Each chunk reports one hit flag, or its
+        // lowest-index read failure, so the outcome is thread-invariant.
         pairs_compared += kept.len() as u64;
-        let hits = safe_stats::par::try_par_map(par, kept.len(), |i| {
-            pair_rho(train, &moments, candidate, kept[i]).abs() > theta
+        let hits = try_par_chunks(par, kept.len(), |range| {
+            let mut hit = false;
+            for (k, km) in &kept[range] {
+                hit |= pair_rho(train, this, (*k, km.as_ref()))?.abs() > theta;
+            }
+            Ok::<bool, DataError>(hit)
         })?;
-        if !hits.into_iter().any(|h| h) {
-            kept.push(candidate);
+        let mut redundant = false;
+        for hit in hits {
+            redundant |= hit?;
+        }
+        if !redundant {
+            kept.push((candidate, moments));
         }
     }
-    Ok((kept, pairs_compared))
+    Ok((kept.into_iter().map(|(k, _)| k).collect(), pairs_compared))
 }
 
 /// Survivors sorted by descending IV, ties broken by ascending column
@@ -133,60 +140,20 @@ fn descending_iv(survivors: &[(usize, f64)]) -> Vec<(usize, f64)> {
     order
 }
 
-/// Moments of column `idx`, computed on first use and shared across scan
-/// workers. A spill-read failure panics so the parallel scan surfaces it as
-/// a captured [`ParPanic`] and the caller degrades the iteration.
-fn moments_of<'m>(
-    train: &Dataset,
-    moments: &'m [OnceLock<Option<ExactMoments>>],
-    idx: usize,
-) -> &'m Option<ExactMoments> {
-    moments[idx].get_or_init(|| {
-        let view = match train.column_view(idx) {
-            Ok(v) => v,
-            Err(e) => panic!("column {idx} unavailable during redundancy scan: {e}"),
-        };
-        let mut scratch = Vec::new();
-        let col = match view.materialize(&mut scratch) {
-            Ok(c) => c,
-            Err(e) => panic!("column {idx} read failed during redundancy scan: {e}"),
-        };
-        ExactMoments::of(col)
-    })
-}
-
-/// Signed correlation of columns `a` and `b`: the moment kernel when both
-/// columns are NaN-free (bitwise-equal to `pearson`), otherwise the
-/// pairwise-deletion `pearson` on materialized slices (zero-copy when
-/// resident).
+/// Signed correlation of columns `a` and `b`, each given with its moments:
+/// the moment kernel when both columns are NaN-free (bitwise-equal to
+/// `pearson`), otherwise the pairwise-deletion `pearson` on the columns as
+/// read (borrowed when resident).
 fn pair_rho(
     train: &Dataset,
-    moments: &[OnceLock<Option<ExactMoments>>],
-    a: usize,
-    b: usize,
-) -> f64 {
-    if let (Some(ma), Some(mb)) = (
-        moments_of(train, moments, a).as_ref(),
-        moments_of(train, moments, b).as_ref(),
-    ) {
-        return ma.rho(mb);
+    (a, ma): (usize, Option<&ExactMoments>),
+    (b, mb): (usize, Option<&ExactMoments>),
+) -> Result<f64, DataError> {
+    if let (Some(ma), Some(mb)) = (ma, mb) {
+        return Ok(ma.rho(mb));
     }
-    let (va, vb) = match (train.column_view(a), train.column_view(b)) {
-        (Ok(va), Ok(vb)) => (va, vb),
-        (Err(e), _) | (_, Err(e)) => {
-            panic!("column unavailable during redundancy scan: {e}")
-        }
-    };
     let (mut sa, mut sb) = (Vec::new(), Vec::new());
-    let ca = match va.materialize(&mut sa) {
-        Ok(c) => c,
-        Err(e) => panic!("column {a} read failed during redundancy scan: {e}"),
-    };
-    let cb = match vb.materialize(&mut sb) {
-        Ok(c) => c,
-        Err(e) => panic!("column {b} read failed during redundancy scan: {e}"),
-    };
-    pearson(ca, cb)
+    Ok(pearson(train.read_column(a, &mut sa)?, train.read_column(b, &mut sb)?))
 }
 
 /// Section IV-C3: rank the surviving candidates by average split gain of a

@@ -34,13 +34,15 @@
 //! staged pipeline against exact selection.
 //!
 //! A worker panic while scoring (exercised by the
-//! `select/staged-worker-panic` failpoint) surfaces as [`ParPanic`], which
-//! the pipeline turns into a degraded iteration — never a poisoned run.
+//! `select/staged-worker-panic` failpoint) or a failed column read surfaces
+//! as [`StageError`], which the pipeline turns into a degraded iteration —
+//! never a poisoned run.
 
-use safe_data::column::{ColumnRead, ColumnView};
 use safe_data::dataset::Dataset;
 use safe_stats::iv::information_value;
-use safe_stats::par::{try_par_map, ParPanic, Parallelism};
+use safe_stats::par::Parallelism;
+
+use crate::error::{try_par_read, StageError};
 
 /// Halving-schedule knobs. Constructed via [`StagedConfig::for_pool`] by
 /// the pipeline; tests may build it directly to pin schedule edges.
@@ -151,14 +153,14 @@ pub fn subsample_rows(n_rows: usize, sample: usize, seed: u64, rung: usize) -> V
 
 /// Successively halve `candidates` (column indices into `train`) down to
 /// the finalist target. Returns the finalists in ascending column order
-/// plus the per-rung trace. A scoring-worker panic surfaces as
-/// [`ParPanic`] for the caller to degrade on.
+/// plus the per-rung trace. A scoring-worker panic or a failed column read
+/// surfaces as [`StageError`] for the caller to degrade on.
 pub fn staged_prune(
     train: &Dataset,
     candidates: &[usize],
     cfg: &StagedConfig,
     par: Parallelism,
-) -> Result<(Vec<usize>, StagedReport), ParPanic> {
+) -> Result<(Vec<usize>, StagedReport), StageError> {
     let mut pool: Vec<usize> = candidates.to_vec();
     pool.sort_unstable();
     let target = cfg.finalist_target.max(1);
@@ -167,7 +169,6 @@ pub fn staged_prune(
         return Ok((pool, StagedReport { rungs: Vec::new(), short_circuited: true }));
     }
     let labels = labels.unwrap_or_default();
-    let views: Vec<ColumnView<'_>> = train.column_views().collect();
     let n_rows = train.n_rows();
     let mut report = StagedReport::default();
     let mut rung = 0usize;
@@ -175,22 +176,22 @@ pub fn staged_prune(
         let sample_rows = (cfg.base_rows.max(1) << rung.min(48)).min(n_rows);
         let rows = subsample_rows(n_rows, sample_rows, cfg.seed, rung);
         let sub_labels: Vec<u8> = rows.iter().map(|&r| labels[r]).collect();
-        let scores = try_par_map(par, pool.len(), |k| {
-            safe_data::failpoint!(
-                "select/staged-worker-panic" =>
-                    panic!("injected worker panic: select/staged-worker-panic")
-            );
-            // Row sampling needs random access: materialize the candidate
-            // column first (zero-copy when resident, per-worker scratch
-            // gather when chunked). A spill-read failure panics and is
-            // captured as [`ParPanic`] for the caller to degrade on.
+        let scores = try_par_read(par, pool.len(), |k| {
+            // The injected panic stands in for a worker fault.
+            #[allow(clippy::panic)]
+            {
+                safe_data::failpoint!(
+                    "select/staged-worker-panic" =>
+                        panic!("injected worker panic: select/staged-worker-panic")
+                );
+            }
+            // Row sampling needs random access: read the candidate column
+            // whole first (borrowed when resident, per-worker scratch gather
+            // when chunked).
             let mut scratch = Vec::new();
-            let col = match views[pool[k]].materialize(&mut scratch) {
-                Ok(c) => c,
-                Err(e) => panic!("column read failed during staged pruning: {e}"),
-            };
+            let col = train.read_column(pool[k], &mut scratch)?;
             let sub: Vec<f64> = rows.iter().map(|&r| col[r]).collect();
-            information_value(&sub, &sub_labels, cfg.beta).unwrap_or(0.0)
+            Ok(information_value(&sub, &sub_labels, cfg.beta).unwrap_or(0.0))
         })?;
         // Once the sample covers every row the scores cannot sharpen
         // further: cut straight to the finalist target. Otherwise halve,

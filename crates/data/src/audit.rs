@@ -22,7 +22,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::column::ColumnRead;
 use crate::dataset::Dataset;
 use crate::error::DataError;
 
@@ -48,9 +47,6 @@ pub struct AuditConfig {
     pub policy: AuditPolicy,
     /// Minority-class rate below which labels are flagged as imbalanced.
     pub imbalance_threshold: f64,
-    /// Bin count the downstream IV stage will request; datasets with fewer
-    /// rows than this get an advisory finding.
-    pub expected_bins: usize,
 }
 
 impl Default for AuditConfig {
@@ -58,7 +54,6 @@ impl Default for AuditConfig {
         AuditConfig {
             policy: AuditPolicy::Warn,
             imbalance_threshold: 0.01,
-            expected_bins: 10,
         }
     }
 }
@@ -243,67 +238,30 @@ impl AuditReport {
     /// recording each action on `self`.
     ///
     /// All-missing and constant columns are dropped; infinite values are
-    /// imputed to `NaN`. Call [`AuditReport::replay`] with the same report
-    /// to apply the identical transform to a validation set.
+    /// imputed to `NaN`. The drops are recorded first, then the imputations,
+    /// each in finding order, and the cleaned copy is
+    /// [`AuditReport::replay`] of those actions — so the same call on a
+    /// validation set applies the identical transform.
     pub fn repair(&mut self, ds: &Dataset) -> Result<Dataset, DataError> {
-        let mut drops: Vec<(String, String)> = Vec::new();
-        let mut imputes: BTreeSet<String> = BTreeSet::new();
+        let mut imputes = Vec::new();
         for finding in &self.findings {
-            match finding {
-                AuditFinding::AllMissingColumn { name } => {
-                    drops.push((name.clone(), "entirely missing".into()));
+            let (name, reason) = match finding {
+                AuditFinding::AllMissingColumn { name } => (name, "entirely missing"),
+                AuditFinding::ConstantColumn { name, .. } => (name, "constant"),
+                AuditFinding::NonFiniteColumn { name, count } => {
+                    let (name, count) = (name.clone(), *count);
+                    imputes.push(RepairAction::ImputedNonFinite { name, count });
+                    continue;
                 }
-                AuditFinding::ConstantColumn { name, .. } => {
-                    drops.push((name.clone(), "constant".into()));
-                }
-                AuditFinding::NonFiniteColumn { name, .. } => {
-                    imputes.insert(name.clone());
-                }
-                _ => {}
-            }
-        }
-        // A dropped column never needs imputation as well.
-        for (name, _) in &drops {
-            imputes.remove(name);
-        }
-        for (name, reason) in &drops {
+                _ => continue,
+            };
             self.actions.push(RepairAction::DroppedColumn {
                 name: name.clone(),
-                reason: reason.clone(),
+                reason: reason.into(),
             });
         }
-        let drop_set: BTreeSet<&str> = drops.iter().map(|(n, _)| n.as_str()).collect();
-        let mut out = Dataset::with_rows(ds.n_rows());
-        for (i, meta) in ds.meta().iter().enumerate() {
-            if drop_set.contains(meta.name.as_str()) {
-                continue;
-            }
-            if imputes.contains(&meta.name) {
-                // Imputation rewrites values, so the column is gathered
-                // (one column of scratch — the out-of-core contract).
-                let mut cleaned = Vec::new();
-                ds.column_view(i)?.gather_into(&mut cleaned)?;
-                let mut count = 0usize;
-                for v in &mut cleaned {
-                    if v.is_infinite() {
-                        *v = f64::NAN;
-                        count += 1;
-                    }
-                }
-                self.actions.push(RepairAction::ImputedNonFinite {
-                    name: meta.name.clone(),
-                    count,
-                });
-                out.push_column(meta.clone(), cleaned)?;
-            } else {
-                // Untouched columns share storage — chunked stays chunked.
-                out.push_column_from(ds, i)?;
-            }
-        }
-        if let Some(labels) = ds.labels() {
-            out.set_labels(labels.to_vec())?;
-        }
-        Ok(out)
+        self.actions.extend(imputes);
+        self.replay(ds)
     }
 
     /// Replay the recorded [`RepairAction`]s on another dataset with the
@@ -332,13 +290,13 @@ impl AuditReport {
                 continue;
             }
             if impute_set.contains(meta.name.as_str()) {
-                let mut cleaned = Vec::new();
-                ds.column_view(i)?.gather_into(&mut cleaned)?;
-                for v in &mut cleaned {
-                    if v.is_infinite() {
-                        *v = f64::NAN;
-                    }
-                }
+                // Imputation rewrites values, so the column is copied.
+                let mut scratch = Vec::new();
+                let cleaned = ds
+                    .read_column(i, &mut scratch)?
+                    .iter()
+                    .map(|&v| if v.is_infinite() { f64::NAN } else { v })
+                    .collect();
                 out.push_column(meta.clone(), cleaned)?;
             } else {
                 out.push_column_from(ds, i)?;
@@ -386,43 +344,43 @@ impl fmt::Display for AuditError {
 impl std::error::Error for AuditError {}
 
 /// Scan `ds` for degenerate conditions. Pure inspection — no policy is
-/// applied and nothing is modified.
-pub fn audit(ds: &Dataset, cfg: &AuditConfig) -> AuditReport {
+/// applied and nothing is modified. `iv_bins` is the bin count the IV stage
+/// will request (the pipeline's β); fewer rows than that is an advisory.
+pub fn audit(ds: &Dataset, cfg: &AuditConfig, iv_bins: usize) -> AuditReport {
     let mut findings = Vec::new();
     if ds.is_empty() {
         findings.push(AuditFinding::EmptyDataset);
         return AuditReport { findings, actions: Vec::new() };
     }
-    for (view, meta) in ds.column_views().zip(ds.meta()) {
+    let mut scratch = Vec::new();
+    for (i, meta) in ds.meta().iter().enumerate() {
+        // A column that cannot be read back (a lost spill segment) gets no
+        // verdict: the first stage that needs its values returns the read
+        // failure, so nothing is misclassified here.
+        let Ok(col) = ds.read_column(i, &mut scratch) else {
+            continue;
+        };
         let mut first: Option<f64> = None;
         let mut constant = true;
         let mut n_present = 0usize;
         let mut n_inf = 0usize;
-        // One sequential pass in row order — chunk streaming visits the
-        // same elements in the same order as the resident slice, so the
-        // verdicts are identical on both backends. A spill-read failure
-        // aborts the scan of this column early; the same fault then
-        // surfaces as a hard error on the first gather path, so nothing is
-        // silently misclassified downstream.
-        let _ = view.for_each_chunk(0..ds.n_rows(), &mut |chunk| {
-            for &v in chunk {
-                if v.is_nan() {
-                    continue;
-                }
-                if v.is_infinite() {
-                    n_inf += 1;
-                }
-                n_present += 1;
-                match first {
-                    None => first = Some(v),
-                    Some(head) => {
-                        if v != head {
-                            constant = false;
-                        }
+        for &v in col {
+            if v.is_nan() {
+                continue;
+            }
+            if v.is_infinite() {
+                n_inf += 1;
+            }
+            n_present += 1;
+            match first {
+                None => first = Some(v),
+                Some(head) => {
+                    if v != head {
+                        constant = false;
                     }
                 }
             }
-        });
+        }
         if n_present == 0 {
             findings.push(AuditFinding::AllMissingColumn { name: meta.name.clone() });
         } else if constant {
@@ -451,24 +409,29 @@ pub fn audit(ds: &Dataset, cfg: &AuditConfig) -> AuditReport {
             }
         }
     }
-    if ds.n_rows() < cfg.expected_bins {
+    if ds.n_rows() < iv_bins {
         findings.push(AuditFinding::TooFewRows {
             rows: ds.n_rows(),
-            bins: cfg.expected_bins,
+            bins: iv_bins,
         });
     }
     AuditReport { findings, actions: Vec::new() }
 }
 
-/// Audit `ds` and enforce `cfg.policy`.
+/// Audit `ds` (with the IV stage's `iv_bins`, as in [`audit`]) and
+/// enforce `cfg.policy`.
 ///
 /// Returns the report plus, under [`AuditPolicy::Repair`], a cleaned copy
 /// of the dataset (`None` when no repair was needed or the policy doesn't
 /// repair). Fatal findings reject under every policy; repairable findings
 /// reject only under [`AuditPolicy::Reject`]. A repair that leaves zero
 /// usable columns is escalated to fatal.
-pub fn enforce(ds: &Dataset, cfg: &AuditConfig) -> Result<(AuditReport, Option<Dataset>), AuditError> {
-    let mut report = audit(ds, cfg);
+pub fn enforce(
+    ds: &Dataset,
+    cfg: &AuditConfig,
+    iv_bins: usize,
+) -> Result<(AuditReport, Option<Dataset>), AuditError> {
+    let mut report = audit(ds, cfg, iv_bins);
     if report.has_fatal() {
         return Err(AuditError { report, policy: cfg.policy });
     }
@@ -519,7 +482,7 @@ mod tests {
             vec![("a", vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0])],
             vec![0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
         );
-        let report = audit(&ds, &AuditConfig::default());
+        let report = audit(&ds, &AuditConfig::default(), 10);
         assert!(report.is_clean(), "{report}");
     }
 
@@ -533,7 +496,7 @@ mod tests {
             ],
             (0..12).map(|i| (i % 2) as u8).collect(),
         );
-        let report = audit(&ds, &AuditConfig::default());
+        let report = audit(&ds, &AuditConfig::default(), 10);
         assert!(report
             .findings
             .iter()
@@ -551,7 +514,7 @@ mod tests {
         col[3] = f64::INFINITY;
         col[7] = f64::NEG_INFINITY;
         let ds = labelled(vec![("x", col)], vec![1; 12]);
-        let report = audit(&ds, &AuditConfig::default());
+        let report = audit(&ds, &AuditConfig::default(), 10);
         assert!(report
             .findings
             .iter()
@@ -569,7 +532,7 @@ mod tests {
         let mut labels = vec![0u8; n];
         labels[0] = 1; // 0.2% positive
         let ds = labelled(vec![("x", (0..n).map(|i| i as f64).collect())], labels);
-        let report = audit(&ds, &AuditConfig::default());
+        let report = audit(&ds, &AuditConfig::default(), 10);
         assert!(report
             .findings
             .iter()
@@ -580,7 +543,7 @@ mod tests {
             vec![("x", vec![1.0, 2.0, 3.0, 4.0])],
             vec![0, 1, 0, 1],
         );
-        let report = audit(&tiny, &AuditConfig::default());
+        let report = audit(&tiny, &AuditConfig::default(), 10);
         assert!(report
             .findings
             .iter()
@@ -600,7 +563,7 @@ mod tests {
             (0..12).map(|i| (i % 2) as u8).collect(),
         );
         let cfg = AuditConfig { policy: AuditPolicy::Repair, ..AuditConfig::default() };
-        let (report, repaired) = enforce(&train, &cfg).unwrap();
+        let (report, repaired) = enforce(&train, &cfg, 10).unwrap();
         let repaired = repaired.expect("repairs applied");
         assert_eq!(repaired.n_cols(), 2);
         assert!(repaired.column_by_name("const").is_err());
@@ -637,11 +600,11 @@ mod tests {
             (0..12).map(|i| (i % 2) as u8).collect(),
         );
         let cfg = AuditConfig { policy: AuditPolicy::Reject, ..AuditConfig::default() };
-        let err = enforce(&ds, &cfg).unwrap_err();
+        let err = enforce(&ds, &cfg, 10).unwrap_err();
         assert!(err.to_string().contains("const"));
         // Warn lets the same dataset through.
         let cfg = AuditConfig { policy: AuditPolicy::Warn, ..AuditConfig::default() };
-        let (report, repaired) = enforce(&ds, &cfg).unwrap();
+        let (report, repaired) = enforce(&ds, &cfg, 10).unwrap();
         assert!(repaired.is_none());
         assert!(!report.is_clean());
     }
@@ -651,7 +614,7 @@ mod tests {
         let ds = Dataset::with_rows(0);
         for policy in [AuditPolicy::Reject, AuditPolicy::Warn, AuditPolicy::Repair] {
             let cfg = AuditConfig { policy, ..AuditConfig::default() };
-            assert!(enforce(&ds, &cfg).is_err());
+            assert!(enforce(&ds, &cfg, 10).is_err());
         }
     }
 
@@ -662,7 +625,7 @@ mod tests {
             (0..12).map(|i| (i % 2) as u8).collect(),
         );
         let cfg = AuditConfig { policy: AuditPolicy::Repair, ..AuditConfig::default() };
-        let err = enforce(&ds, &cfg).unwrap_err();
+        let err = enforce(&ds, &cfg, 10).unwrap_err();
         assert!(err.report.has_fatal());
     }
 }

@@ -6,18 +6,20 @@
 //! into fixed-size chunks (`chunk_rows` rows each, the last chunk ragged),
 //! stores each chunk column-major in its own spill file, and keeps at most
 //! `resident_chunks` of them decoded in an LRU cache. Readers never see the
-//! chunking directly — they go through the [`crate::column::ColumnRead`]
-//! views a `Dataset` hands out — but the determinism story starts here:
+//! chunking directly — they go through
+//! [`crate::dataset::Dataset::read_column`], which gathers a chunked column
+//! with [`ChunkStore::gather_column`] — but the determinism story starts
+//! here:
 //!
 //! - **Chunk boundaries are a pure function of `(n_rows, chunk_rows)`**;
 //!   neither cache state nor thread scheduling moves them.
 //! - **Chunks are immutable once written.** The builder spills each chunk
 //!   exactly once at ingest; reads decode the same bytes forever after, so
 //!   a cache hit and a cache miss produce identical slices.
-//! - **Iteration is fixed-order.** `for_each_col_chunk` walks chunks in
-//!   ascending index order, so a sequential fold over the yielded slices
-//!   visits every element in exactly the order a fold over the full column
-//!   slice would — f64 reductions are never reassociated by chunking.
+//! - **Iteration is fixed-order.** `gather_column` walks chunks in
+//!   ascending index order, so a gathered column holds every element in
+//!   exactly resident row order — f64 reductions over it are never
+//!   reassociated by chunking.
 //!
 //! Spill format: one file per chunk (`chunk_NNNNNN.bin`) of raw
 //! little-endian f64s, column-major within the chunk (`n_cols * rows`
@@ -295,9 +297,8 @@ impl ChunkStore {
         Ok(ChunkBuf { rows, data })
     }
 
-    /// Stream one column's values over `range` in ascending chunk order —
-    /// the primitive behind [`crate::column::ColumnRead::for_each_chunk`].
-    pub fn for_each_col_chunk(
+    /// Stream one column's values over `range` in ascending chunk order.
+    fn for_each_col_chunk(
         &self,
         col: usize,
         range: Range<usize>,

@@ -399,7 +399,6 @@ mod tests {
 mod streaming_tests {
     use super::*;
     use crate::chunk::ChunkOptions;
-    use crate::column::ColumnRead;
 
     fn tmp_csv(name: &str, text: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("safe_data_csv_stream_test");
@@ -424,10 +423,10 @@ mod streaming_tests {
         let mut a = Vec::new();
         let mut b = Vec::new();
         for c in 0..resident.n_cols() {
-            resident.column_view(c).unwrap().gather_into(&mut a).unwrap();
-            chunked.column_view(c).unwrap().gather_into(&mut b).unwrap();
-            let a_bits: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
-            let b_bits: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
+            let a_bits: Vec<u64> =
+                resident.read_column(c, &mut a).unwrap().iter().map(|v| v.to_bits()).collect();
+            let b_bits: Vec<u64> =
+                chunked.read_column(c, &mut b).unwrap().iter().map(|v| v.to_bits()).collect();
             assert_eq!(a_bits, b_bits, "column {c} bytes differ");
         }
     }

@@ -5,7 +5,6 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::chunk::{ChunkOptions, ChunkStore, ChunkStoreBuilder};
-use crate::column::{ColumnRead, ColumnView};
 use crate::error::DataError;
 
 /// Where a feature came from. SAFE needs provenance to (a) report which
@@ -78,13 +77,6 @@ impl ColumnSlot {
         }
     }
 
-    fn view(&self) -> ColumnView<'_> {
-        match self {
-            ColumnSlot::Resident(v) => ColumnView::Slice(v),
-            ColumnSlot::Chunked { store, col } => ColumnView::Chunked { store, col: *col },
-        }
-    }
-
     fn resident(&self) -> Option<&[f64]> {
         match self {
             ColumnSlot::Resident(v) => Some(v),
@@ -104,7 +96,7 @@ impl ColumnSlot {
 /// Every column is either **resident** (an in-memory vector) or
 /// **chunked** (fixed-size row chunks resolved through a [`ChunkStore`],
 /// optionally spilled to disk). Code on the hot paths reads columns
-/// through [`Dataset::column_view`] / [`Dataset::for_each_row_chunk`] and
+/// through [`Dataset::read_column`] / [`Dataset::for_each_row_chunk`] and
 /// works on both backends; the raw-slice accessors ([`Dataset::column`],
 /// [`Dataset::columns`], [`Dataset::row`], …) are the *resident-only
 /// escape hatch* kept for models, baselines, and tests that never see
@@ -131,7 +123,7 @@ impl Dataset {
 
     /// The one validated construction path every column-adding entry point
     /// funnels through (`from_columns`, `from_rows`, `push_column`,
-    /// `push_column_from`, `from_chunk_store`, `hstack`): row-count and
+    /// `push_column_from`, `from_chunk_store`): row-count and
     /// duplicate-name checks live here and nowhere else, so they cannot
     /// diverge between entry points.
     fn insert_slot(&mut self, meta: FeatureMeta, slot: ColumnSlot) -> Result<(), DataError> {
@@ -315,7 +307,7 @@ impl Dataset {
 
     /// Feature column by index as a raw slice — **resident-only escape
     /// hatch**; chunked columns yield [`DataError::ColumnNotResident`].
-    /// Backend-agnostic code uses [`Dataset::column_view`].
+    /// Backend-agnostic code uses [`Dataset::read_column`].
     pub fn column(&self, index: usize) -> Result<&[f64], DataError> {
         let slot = self.slots.get(index).ok_or(DataError::ColumnOutOfRange {
             index,
@@ -331,27 +323,26 @@ impl Dataset {
         self.column(idx)
     }
 
-    /// Backend-agnostic read view of one column.
-    pub fn column_view(&self, index: usize) -> Result<ColumnView<'_>, DataError> {
-        self.slots
-            .get(index)
-            .map(ColumnSlot::view)
-            .ok_or(DataError::ColumnOutOfRange {
-                index,
-                len: self.slots.len(),
-            })
-    }
-
-    /// Backend-agnostic read view of one column, by name.
-    pub fn column_view_by_name(&self, name: &str) -> Result<ColumnView<'_>, DataError> {
-        let idx = self.feature_index(name)?;
-        self.column_view(idx)
-    }
-
-    /// All column views, in order — the backend-agnostic counterpart of
-    /// [`Dataset::columns`].
-    pub fn column_views(&self) -> impl Iterator<Item = ColumnView<'_>> {
-        self.slots.iter().map(ColumnSlot::view)
+    /// Column `index` as one slice, on either backend — the one
+    /// backend-agnostic column read. A resident column is borrowed as is;
+    /// a chunked column is gathered into `scratch` through
+    /// [`ChunkStore::gather_column`]. The caller owns `scratch` and can
+    /// reuse it across columns, so a worker holds at most one column of
+    /// scratch at a time. A chunk that cannot be read back (a lost spill
+    /// segment) is the error.
+    pub fn read_column<'a>(
+        &'a self,
+        index: usize,
+        scratch: &'a mut Vec<f64>,
+    ) -> Result<&'a [f64], DataError> {
+        match self.slots.get(index) {
+            Some(ColumnSlot::Resident(v)) => Ok(v),
+            Some(ColumnSlot::Chunked { store, col }) => {
+                store.gather_column(*col, scratch)?;
+                Ok(scratch)
+            }
+            None => Err(DataError::ColumnOutOfRange { index, len: self.slots.len() }),
+        }
     }
 
     /// Index of the named feature.
@@ -367,7 +358,7 @@ impl Dataset {
             Some(s) => s,
             None => panic!(
                 "raw-slice access on a chunked/spilled column; \
-                 use column_view()/for_each_row_chunk() on out-of-core datasets"
+                 use read_column()/for_each_row_chunk() on out-of-core datasets"
             ),
         }
     }
@@ -378,7 +369,7 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics when a column is chunked/spilled; backend-agnostic code uses
-    /// [`Dataset::column_views`].
+    /// [`Dataset::read_column`].
     pub fn columns(&self) -> impl Iterator<Item = &[f64]> {
         self.slots.iter().map(|s| self.expect_resident(s))
     }
@@ -467,14 +458,6 @@ impl Dataset {
         &self.meta
     }
 
-    /// Metadata for one column.
-    pub fn meta_at(&self, index: usize) -> Result<&FeatureMeta, DataError> {
-        self.meta.get(index).ok_or(DataError::ColumnOutOfRange {
-            index,
-            len: self.meta.len(),
-        })
-    }
-
     /// Feature names, in column order.
     pub fn feature_names(&self) -> Vec<&str> {
         self.meta.iter().map(|m| m.name.as_str()).collect()
@@ -533,29 +516,6 @@ impl Dataset {
         }
     }
 
-    /// Horizontally concatenate another dataset's columns onto this one.
-    /// Duplicate feature names in `other` are skipped (idempotent union, used
-    /// when forming the candidate set X̂ = X ∪ X̃ in Algorithm 1). Storage
-    /// is shared, not copied.
-    pub fn hstack(&mut self, other: &Dataset) -> Result<usize, DataError> {
-        if other.n_rows != self.n_rows {
-            return Err(DataError::ColumnLengthMismatch {
-                name: "<hstack>".into(),
-                expected: self.n_rows,
-                actual: other.n_rows,
-            });
-        }
-        let mut added = 0;
-        for i in 0..other.slots.len() {
-            if self.meta.iter().any(|m| m.name == other.meta[i].name) {
-                continue;
-            }
-            self.push_column_from(other, i)?;
-            added += 1;
-        }
-        Ok(added)
-    }
-
     /// Count of generated (non-original) features.
     pub fn n_generated(&self) -> usize {
         self.meta.iter().filter(|m| m.origin.is_generated()).count()
@@ -586,23 +546,13 @@ impl PartialEq for Dataset {
         {
             return false;
         }
-        let mut a_buf = Vec::new();
-        let mut b_buf = Vec::new();
-        for (a, b) in self.slots.iter().zip(&other.slots) {
-            let (a_view, b_view) = (a.view(), b.view());
-            let a = match a_view.materialize(&mut a_buf) {
-                Ok(s) => s,
-                Err(_) => return false,
-            };
-            let b = match b_view.materialize(&mut b_buf) {
-                Ok(s) => s,
-                Err(_) => return false,
-            };
-            if a != b {
-                return false;
+        let (mut a_buf, mut b_buf) = (Vec::new(), Vec::new());
+        (0..self.slots.len()).all(|i| {
+            match (self.read_column(i, &mut a_buf), other.read_column(i, &mut b_buf)) {
+                (Ok(a), Ok(b)) => a == b,
+                _ => false,
             }
-        }
-        true
+        })
     }
 }
 
@@ -652,7 +602,7 @@ mod tests {
     /// route through the one sealed constructor.
     #[test]
     fn construction_entry_points_share_error_parity() {
-        // Duplicate name: push_column vs from_columns vs hstack-source.
+        // Duplicate name: push_column vs from_columns.
         let dup_push = {
             let mut ds = small();
             ds.push_column(FeatureMeta::original("a"), vec![0.0; 3]).unwrap_err()
@@ -746,26 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn hstack_skips_duplicates() {
-        let mut ds = small();
-        let mut other = Dataset::with_rows(3);
-        other
-            .push_column(FeatureMeta::original("a"), vec![9.0; 3])
-            .unwrap();
-        other
-            .push_column(
-                FeatureMeta::generated("a+b", "add", vec!["a".into(), "b".into()]),
-                vec![5.0, 7.0, 9.0],
-            )
-            .unwrap();
-        let added = ds.hstack(&other).unwrap();
-        assert_eq!(added, 1);
-        assert_eq!(ds.n_cols(), 3);
-        assert_eq!(ds.column_by_name("a").unwrap(), &[1.0, 2.0, 3.0]); // untouched
-        assert_eq!(ds.n_generated(), 1);
-    }
-
-    #[test]
     fn positive_rate() {
         let ds = small();
         assert!((ds.positive_rate().unwrap() - 2.0 / 3.0).abs() < 1e-12);
@@ -799,8 +729,31 @@ mod tests {
             DataError::ColumnNotResident(_)
         ));
         let mut buf = Vec::new();
-        chunked.column_view(1).unwrap().gather_into(&mut buf).unwrap();
-        assert_eq!(buf, &[4.0, 5.0, 6.0]);
+        assert_eq!(chunked.read_column(1, &mut buf).unwrap(), &[4.0, 5.0, 6.0]);
+    }
+
+    #[test]
+    fn resident_read_copies_nothing() {
+        let ds = small();
+        let mut scratch = Vec::new();
+        let col = ds.read_column(1, &mut scratch).unwrap();
+        assert_eq!(col.as_ptr(), ds.column(1).unwrap().as_ptr(), "resident read must borrow");
+        assert!(scratch.is_empty());
+    }
+
+    #[test]
+    fn chunked_read_returns_values_in_row_order() {
+        let values: Vec<f64> = (0..17).map(|i| i as f64).collect();
+        let ds = Dataset::from_columns(vec!["x".into()], vec![values.clone()], None)
+            .unwrap()
+            .to_chunked(ChunkOptions::in_memory(5))
+            .unwrap();
+        let mut scratch = Vec::new();
+        assert_eq!(ds.read_column(0, &mut scratch).unwrap(), &values[..]);
+        assert!(matches!(
+            ds.read_column(1, &mut scratch).unwrap_err(),
+            DataError::ColumnOutOfRange { index: 1, len: 1 }
+        ));
     }
 
     #[test]

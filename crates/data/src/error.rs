@@ -42,7 +42,7 @@ pub enum DataError {
     /// A feature name was used twice.
     DuplicateFeature(String),
     /// A raw-slice accessor (`column`, `columns`) was called on a column
-    /// whose storage is chunked/spilled; use the `ColumnRead` views.
+    /// whose storage is chunked/spilled; use `Dataset::read_column`.
     ColumnNotResident(String),
     /// Requested feature does not exist.
     UnknownFeature(String),
@@ -96,7 +96,7 @@ impl fmt::Display for DataError {
             DataError::DuplicateFeature(name) => write!(f, "duplicate feature name '{name}'"),
             DataError::ColumnNotResident(name) => write!(
                 f,
-                "column '{name}' is chunked/spilled; use ColumnRead views instead of raw slices"
+                "column '{name}' is chunked/spilled; use read_column instead of raw slices"
             ),
             DataError::UnknownFeature(name) => write!(f, "unknown feature '{name}'"),
             DataError::ColumnOutOfRange { index, len } => {

@@ -7,8 +7,7 @@
 //! fraud-detection and benchmark tasks.
 //!
 //! The crate also provides:
-//! - deterministic shuffling and train/valid/test [`split`]ting (plain and
-//!   stratified),
+//! - deterministic shuffling and train/valid/test [`split`]ting,
 //! - a small dependency-free [`csv`] reader/writer,
 //! - the [`record`] reader behind the four text codecs, and the
 //!   [`checksum`] that seals the artifact and the checkpoint,
@@ -21,8 +20,9 @@
 //! Out-of-core backend (DESIGN.md §16):
 //! - [`chunk`] — fixed-size row chunks with file-backed spill segments and
 //!   an LRU of decoded chunks,
-//! - [`column`](mod@column) — the [`ColumnRead`] trait / [`ColumnView`] access surface
-//!   the hot paths consume instead of raw `&[f64]` slices,
+//! - [`Dataset::read_column`] — the one backend-agnostic column read: a
+//!   resident column borrowed as is, a chunked one gathered into caller
+//!   scratch; [`Dataset::for_each_row_chunk`] walks the table row-wise,
 //! - [`csv::read_csv_chunked`] — streaming ingest that never materializes
 //!   the full table.
 //!
@@ -41,7 +41,6 @@ pub mod audit;
 pub mod binning;
 pub mod checksum;
 pub mod chunk;
-pub mod column;
 pub mod csv;
 pub mod dataset;
 pub mod error;
@@ -55,7 +54,6 @@ pub use audit::{
 };
 pub use binning::{BinAssignments, BinEdges, BinStrategy};
 pub use chunk::{ChunkOptions, ChunkStats, ChunkStore, ChunkStoreBuilder};
-pub use column::{ColumnRead, ColumnView};
 pub use dataset::{Dataset, FeatureMeta, FeatureOrigin};
 pub use error::DataError;
 pub use split::{train_test_split, train_valid_test_split, DatasetSplit};

@@ -20,14 +20,6 @@ pub struct DatasetSplit {
     pub test: Dataset,
 }
 
-impl DatasetSplit {
-    /// Validation set, falling back to the training set when absent (the
-    /// paper: "we simply use training data for validation if necessary").
-    pub fn valid_or_train(&self) -> &Dataset {
-        self.valid.as_ref().unwrap_or(&self.train)
-    }
-}
-
 /// Fisher–Yates shuffle of `0..n` driven by a splitmix64 stream seeded with
 /// `seed` — deterministic across platforms without pulling `rand` into this
 /// low-level crate.
@@ -101,42 +93,6 @@ pub fn train_valid_test_split(
     Ok(DatasetSplit { train, valid, test })
 }
 
-/// Stratified K-fold indices: returns `k` (train, test) index pairs where
-/// each fold preserves the global positive rate as closely as integer
-/// arithmetic allows. Used by robustness tests and the stability experiment.
-pub fn stratified_kfold(labels: &[u8], k: usize, seed: u64) -> Vec<(Vec<usize>, Vec<usize>)> {
-    assert!(k >= 2, "k-fold requires k >= 2");
-    let order = shuffled_indices(labels.len(), seed);
-    let mut pos: Vec<usize> = Vec::new();
-    let mut neg: Vec<usize> = Vec::new();
-    for &i in &order {
-        if labels[i] == 1 {
-            pos.push(i);
-        } else {
-            neg.push(i);
-        }
-    }
-    let mut folds: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for (j, &i) in pos.iter().enumerate() {
-        folds[j % k].push(i);
-    }
-    for (j, &i) in neg.iter().enumerate() {
-        folds[j % k].push(i);
-    }
-    (0..k)
-        .map(|f| {
-            let test = folds[f].clone();
-            let train = folds
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != f)
-                .flat_map(|(_, v)| v.iter().copied())
-                .collect();
-            (train, test)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,28 +156,15 @@ mod tests {
     }
 
     #[test]
-    fn zero_valid_gives_none_and_train_fallback() {
+    fn zero_valid_gives_none() {
         let ds = labeled(100);
         let split = train_valid_test_split(&ds, 70, 0, 30, 5).unwrap();
         assert!(split.valid.is_none());
-        assert_eq!(split.valid_or_train().n_rows(), 70);
     }
 
     #[test]
     fn oversized_split_rejected() {
         let ds = labeled(10);
         assert!(train_valid_test_split(&ds, 8, 2, 2, 0).is_err());
-    }
-
-    #[test]
-    fn stratified_kfold_preserves_rate() {
-        let labels: Vec<u8> = (0..90).map(|i| (i < 30) as u8).collect();
-        let folds = stratified_kfold(&labels, 3, 11);
-        assert_eq!(folds.len(), 3);
-        for (train, test) in &folds {
-            assert_eq!(train.len() + test.len(), 90);
-            let pos = test.iter().filter(|&&i| labels[i] == 1).count();
-            assert_eq!(pos, 10, "each fold should hold a third of positives");
-        }
     }
 }

@@ -32,7 +32,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use safe_data::binning::{BinEdges, BinStrategy};
-use safe_data::column::{ColumnRead, ColumnView};
 use safe_data::dataset::Dataset;
 use safe_data::DataError;
 use safe_stats::par::{par_map, Parallelism};
@@ -237,18 +236,17 @@ impl BinnedDataset {
         par: Parallelism,
         cache: Option<&mut BinCache>,
     ) -> Result<(), DataError> {
-        // Quantization sorts a copy of the column, so each worker
-        // materializes its column through the view API: zero-copy when
-        // resident, a per-worker scratch gather when chunked/spilled — at
-        // most one f64 column per thread is resident at a time.
-        let views: Vec<ColumnView<'_>> = ds.column_views().collect();
+        // Quantization sorts a copy of the column, so each worker reads its
+        // column whole: borrowed when resident, a per-worker scratch gather
+        // when chunked/spilled — at most one f64 column per thread is
+        // resident at a time.
         let quantize_col = |f: usize| -> Result<BinnedColumn, DataError> {
             let mut scratch = Vec::new();
-            Ok(quantize(views[f].materialize(&mut scratch)?, self.max_bins))
+            Ok(quantize(ds.read_column(f, &mut scratch)?, self.max_bins))
         };
         match cache {
             None => {
-                for col in par_map(par, views.len(), quantize_col) {
+                for col in par_map(par, ds.n_cols(), quantize_col) {
                     self.columns.push(col?);
                 }
             }
@@ -256,7 +254,7 @@ impl BinnedDataset {
                 let names = ds.feature_names();
                 // Resolve hits serially (map lookups), quantize the misses in
                 // parallel, then merge back in column order.
-                let mut resolved: Vec<Option<BinnedColumn>> = Vec::with_capacity(views.len());
+                let mut resolved: Vec<Option<BinnedColumn>> = Vec::with_capacity(ds.n_cols());
                 let mut miss_idx: Vec<usize> = Vec::new();
                 for (f, name) in names.iter().enumerate() {
                     match cache.entries.get(&(name.to_string(), self.max_bins)) {

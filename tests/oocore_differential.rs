@@ -1,19 +1,27 @@
 //! Resident-vs-chunked differential suite: the out-of-core backend behind
-//! the `ColumnRead` column-access API must be *bit-identical* to the fully
-//! resident path. Chunk boundaries are a storage concern only — segments
-//! are visited in ascending fixed row order and every kernel consumes the
+//! `Dataset::read_column` must be *bit-identical* to the fully resident
+//! path. Chunk boundaries are a storage concern only — a chunked column is
+//! gathered in ascending fixed row order and every kernel consumes the
 //! exact same `f64` sequence either way — so a fit on a chunked (or
 //! spill-backed) dataset must agree with its resident twin on every plan
 //! byte, every funnel count, every structural report, and every downstream
 //! AUC bit, at every thread count and chunk size. These tests pin that
-//! contract (see `DESIGN.md`, "Out-of-core backend").
+//! contract (see `DESIGN.md`, "Out-of-core backend"), and that a chunk
+//! which cannot be read back is an error value at every stage that reads
+//! columns.
 
-use safe::core::{IterationStatus, Safe, SafeConfig, SafeOutcome};
+use safe::core::combine::{rank_combinations, Combination};
+use safe::core::generate::generate_features;
+use safe::core::selection::staged::{staged_prune, StagedConfig};
+use safe::core::selection::{iv_filter, redundancy_filter};
+use safe::core::{IterationStatus, Safe, SafeConfig, SafeOutcome, StageError};
 use safe::data::chunk::ChunkOptions;
 use safe::data::split::train_test_split;
-use safe::data::Dataset;
+use safe::data::{DataError, Dataset};
 use safe::datagen::synth::{generate, SyntheticConfig};
 use safe::models::classifier::{evaluate_auc, ClassifierKind};
+use safe::ops::registry::OperatorRegistry;
+use safe::stats::Parallelism;
 
 /// Thread budgets under test: serial and a parallel budget, so chunked
 /// reads are exercised both single-threaded and from concurrent workers.
@@ -283,6 +291,59 @@ fn lost_spill_segments_degrade_the_mining_iteration() {
             outcome.plan.steps.is_empty(),
             "the fallback is the identity plan"
         );
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Every stage function that reads whole columns returns a lost spill
+/// segment as the read's `DataError`, at any thread count — never as a
+/// captured worker panic.
+#[test]
+fn lost_spill_segments_are_read_errors_in_every_stage() {
+    let base = generate(&SyntheticConfig {
+        n_rows: 800,
+        dim: 4,
+        n_signal: 2,
+        n_interactions: 1,
+        seed: 7,
+        ..Default::default()
+    });
+    let root = spill_root("read_errors");
+    {
+        let spilled = base.to_chunked(ChunkOptions::spilled(64, 1, &root)).unwrap();
+        for store_dir in std::fs::read_dir(&root).unwrap() {
+            for segment in std::fs::read_dir(store_dir.unwrap().path()).unwrap() {
+                std::fs::remove_file(segment.unwrap().path()).unwrap();
+            }
+        }
+        let combo = Combination {
+            features: vec![0, 1],
+            split_values: vec![vec![0.0], vec![0.0]],
+            gain_ratio: 0.0,
+        };
+        let staged = StagedConfig { base_rows: 64, finalist_target: 1, beta: 10, seed: 1 };
+        let all: Vec<usize> = (0..spilled.n_cols()).collect();
+        let survivors = [(0, 0.5), (1, 0.4)];
+        let registry = OperatorRegistry::arithmetic();
+        for threads in THREADS {
+            let par = Parallelism::new(threads);
+            let errors: [(&str, Option<StageError>); 5] = [
+                ("rank", rank_combinations(vec![combo.clone()], &spilled, 5, par).err()),
+                (
+                    "generate",
+                    generate_features(&spilled, None, &[combo.clone()], &registry, par).err(),
+                ),
+                ("staged", staged_prune(&spilled, &all, &staged, par).err()),
+                ("iv", iv_filter(&spilled, 0.0, 10, par).err()),
+                ("redundancy", redundancy_filter(&spilled, &survivors, 0.8, par).err()),
+            ];
+            for (stage, err) in errors {
+                assert!(
+                    matches!(err, Some(StageError::Read(DataError::Io(_)))),
+                    "{stage} at threads={threads}: {err:?}"
+                );
+            }
+        }
     }
     let _ = std::fs::remove_dir_all(&root);
 }
