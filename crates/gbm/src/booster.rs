@@ -10,7 +10,7 @@ use safe_obs::EventSink;
 use crate::binner::{BinCache, BinnedDataset};
 use crate::config::{GbmConfig, Objective};
 use crate::error::GbmError;
-use crate::grow::{grow_tree_observed, GrowStats};
+use crate::grow::{grow_tree_observed, GrowStats, HistogramPool};
 use crate::importance::{FeatureImportance, ImportanceKind};
 use crate::loss::{base_margin, grad_hess, transform};
 use crate::tree::{SplitPath, Tree};
@@ -38,8 +38,9 @@ pub(crate) struct GbmFitStats {
     /// events, never as report counters (wall-clock would break the
     /// resumed-report `==` contract).
     pub round_us: Vec<u64>,
-    /// Microseconds spent accumulating histograms from rows, per round
-    /// (the round's share of `grow.hist_build_us`).
+    /// Microseconds spent in the round's histogram passes, per round (the
+    /// round's share of `grow.hist_build_us`). Each pass builds and
+    /// subtracts one node's child histograms and scans them for splits.
     pub round_hist_us: Vec<u64>,
 }
 
@@ -196,6 +197,8 @@ impl Gbm {
 
         let mut grads = vec![0.0f64; n];
         let mut hesss = vec![0.0f64; n];
+        // One histogram store for every node of every tree of this fit.
+        let mut pool = HistogramPool::default();
 
         for round in 0..self.config.n_rounds {
             safe_data::failpoint!("gbm/train-round", GbmError::Injected("gbm/train-round"));
@@ -213,8 +216,9 @@ impl Gbm {
             // Grow into a per-round accumulator so the round's histogram
             // time can be recorded, then fold into the fit-wide stats.
             let mut round_grow = GrowStats::default();
-            let tree =
-                grow_tree_observed(&binned, &grads, &hesss, rows, &features, &self.config, &mut round_grow);
+            let tree = grow_tree_observed(
+                &binned, &grads, &hesss, rows, &features, &self.config, &mut pool, &mut round_grow,
+            );
             stats.round_hist_us.push(round_grow.hist_build_us);
             stats.grow.merge(&round_grow);
             predict_tree_into(&tree, train, &mut margins)?;
@@ -259,8 +263,6 @@ impl Gbm {
     }
 }
 
-/// Sample a fraction of items without replacement (all items when
-/// `fraction == 1`), preserving index order for reproducibility.
 /// One tree's margin contribution for every row of `ds`, streamed per row
 /// chunk through [`Dataset::for_each_row_chunk`]. Resident datasets take a
 /// single full-range pass over borrowed slices (the exact code path the
@@ -274,6 +276,8 @@ fn predict_tree_into(tree: &Tree, ds: &Dataset, margins: &mut [f64]) -> Result<(
     Ok(())
 }
 
+/// Sample a fraction of items without replacement (all items when
+/// `fraction == 1`), preserving index order for reproducibility.
 fn sample<T: Copy + Ord>(items: &[T], fraction: f64, rng: &mut StdRng) -> Vec<T> {
     if fraction >= 1.0 {
         return items.to_vec();

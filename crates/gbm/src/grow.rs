@@ -5,11 +5,20 @@
 //! after an in-place partition of the node's rows only the *smaller* child's
 //! histograms are accumulated from rows (`O(child_rows × features)`); the
 //! larger child's are derived as `parent − smaller` (`O(bins × features)`).
-//! Both happen in one parallel pass over the features per split node.
-//! [`GrowStats`] tracks how often each path ran (`histogram_builds` vs
-//! `histogram_subtractions`).
+//!
+//! The root and every split node cost one parallel pass over the features:
+//! the chunk that owns a feature builds (and subtracts) that feature's
+//! histograms and scans them for each child's best split on it. Histogram
+//! storage comes from a `HistogramPool` that lives for a whole booster
+//! fit. Sets are taken from it and given back only on the calling thread,
+//! so pool workers fill, zero and subtract buffers but never allocate or
+//! free one. [`GrowStats`] tracks how often each path ran
+//! (`histogram_builds` vs `histogram_subtractions`).
 
 use std::sync::{Mutex, PoisonError};
+use std::time::Instant;
+
+use safe_stats::par::par_map;
 
 use crate::binner::BinnedDataset;
 use crate::config::GbmConfig;
@@ -29,12 +38,12 @@ pub struct GrowStats {
     pub histogram_subtractions: u64,
     /// Nodes (internal + leaf) created at each depth; index = depth.
     pub nodes_per_depth: Vec<u64>,
-    /// Wall-clock microseconds spent in histogram passes: the root's
-    /// accumulation from rows, and each split node's fused pass that
-    /// accumulates the smaller child and subtracts it from the parent.
-    /// Timing telemetry only: never compared across runs and never folded
-    /// into report counters — it feeds the sink-only `gbm_hist_build_us`
-    /// observe stream.
+    /// Wall-clock microseconds spent in histogram passes: the root's pass
+    /// and each split node's pass, which build the histograms, subtract
+    /// the larger child's from the parent's, and scan each child that can
+    /// split for its best split. Timing telemetry only: never compared
+    /// across runs and never folded into report counters — it feeds the
+    /// sink-only `gbm_hist_build_us` observe stream.
     pub hist_build_us: u64,
 }
 
@@ -65,52 +74,69 @@ impl GrowStats {
     }
 }
 
-/// Per-candidate-feature histograms of one node; `None` for features with
-/// no split candidates (constant columns), which are never histogrammed.
-type NodeHistograms = Vec<Option<Vec<HistBin>>>;
+/// One node's histograms, one buffer per binned column. Only columns that
+/// a tree of the fit sampled, and that have split candidates, hold a
+/// buffer; the others stay empty.
+type HistogramSet = Vec<Vec<HistBin>>;
 
-/// Grow one regression tree on the given row/feature subsets.
+/// Histogram storage for one booster fit, reused by every node of every
+/// tree. Sets are keyed by binned column, so a recycled set serves any
+/// tree's column sample.
 ///
-/// `grads`/`hesss` are full-length per-row derivative vectors; `rows` selects
-/// the (possibly subsampled) training rows; `features` the (possibly
-/// column-subsampled) candidate split features. Leaf values are already
-/// multiplied by the learning rate.
-pub fn grow_tree(
-    binned: &BinnedDataset,
-    grads: &[f64],
-    hesss: &[f64],
-    rows: Vec<u32>,
-    features: &[usize],
-    config: &GbmConfig,
-) -> Tree {
-    let mut stats = GrowStats::default();
-    grow_tree_observed(binned, grads, hesss, rows, features, config, &mut stats)
+/// Sets are taken and given back only on the calling thread. Buffers that
+/// pool workers allocated and the calling thread freed went back to each
+/// worker's malloc arena, which glibc then trimmed, so the next split
+/// node faulted its histogram pages in again.
+#[derive(Debug, Default)]
+pub(crate) struct HistogramPool {
+    free: Vec<HistogramSet>,
+    /// Sets created over the pool's life.
+    #[cfg(test)]
+    created: usize,
 }
 
-/// [`grow_tree`], additionally accumulating construction telemetry into
-/// `stats` (histogram builds and subtractions, nodes created per depth).
-pub fn grow_tree_observed(
-    binned: &BinnedDataset,
-    grads: &[f64],
-    hesss: &[f64],
-    mut rows: Vec<u32>,
-    features: &[usize],
-    config: &GbmConfig,
-    stats: &mut GrowStats,
-) -> Tree {
-    let mut tree = Tree::default();
-    tree.nodes.clear();
-    let root_hists = if splittable(0, rows.len(), config) {
-        build_feature_histograms(binned, &rows, grads, hesss, features, config, stats)
-    } else {
-        Vec::new()
-    };
-    let mut scratch = vec![0u32; rows.len()];
-    build_node(
-        &mut tree, binned, grads, hesss, &mut rows, &mut scratch, root_hists, features, config, 0,
-        stats,
-    );
-    tree
+impl HistogramPool {
+    /// A set with a buffer for each of `features`, which must all have
+    /// split candidates. A recycled buffer keeps its old bins until the
+    /// pass that fills it zeroes them.
+    fn take(&mut self, binned: &BinnedDataset, features: &[usize]) -> HistogramSet {
+        let mut set = match self.free.pop() {
+            Some(set) => set,
+            None => {
+                #[cfg(test)]
+                {
+                    self.created += 1;
+                }
+                vec![Vec::new(); binned.n_features()]
+            }
+        };
+        for &f in features {
+            if set[f].is_empty() {
+                set[f] = vec![HistBin::default(); binned.mapper(f).n_bins()];
+            }
+        }
+        set
+    }
+
+    fn give(&mut self, set: HistogramSet) {
+        self.free.push(set);
+    }
+
+    #[cfg(test)]
+    fn sets_created(&self) -> usize {
+        self.created
+    }
+}
+
+/// A node's (G, H, row count).
+type Totals = (f64, f64, u32);
+
+/// Sum a node's gradients and hessians in row order.
+fn totals(rows: &[u32], grads: &[f64], hesss: &[f64]) -> Totals {
+    let (g, h) = rows.iter().fold((0.0, 0.0), |(g, h), &r| {
+        (g + grads[r as usize], h + hesss[r as usize])
+    });
+    (g, h, rows.len() as u32)
 }
 
 /// Whether a node at `depth` with `n_rows` rows may attempt a split (and
@@ -119,211 +145,283 @@ fn splittable(depth: usize, n_rows: usize, config: &GbmConfig) -> bool {
     depth < config.max_depth && n_rows >= 2
 }
 
-/// Recursively build the subtree rooted at the next free arena slot and
-/// return that slot's index. `rows`/`scratch` are this node's slices of the
-/// tree-wide row and scratch buffers; `hists` are this node's per-feature
-/// histograms (empty when the node cannot split), *moved* in so the larger
-/// child can reuse the storage via subtraction.
-#[allow(clippy::too_many_arguments)]
-fn build_node(
-    tree: &mut Tree,
+/// What the pass that built a node's histograms decided about it.
+struct Node {
+    totals: Totals,
+    /// The node's best split and the histograms it was found on; `None`
+    /// makes the node a leaf.
+    split: Option<(SplitInfo, HistogramSet)>,
+}
+
+/// One feature's share of a pass: its buffers, handed `&mut` to the chunk
+/// that owns the feature, and the best split that chunk found on each.
+struct FeatureJob<'s> {
+    feature: usize,
+    /// Zeroed, then accumulated from the pass's rows.
+    built: &'s mut Vec<HistBin>,
+    /// The parent's histogram, turned into the sibling's by subtraction.
+    parent: Option<&'s mut Vec<HistBin>>,
+    /// Best split on `built` and on `parent`, for the sides scanned.
+    best: [Option<SplitInfo>; 2],
+}
+
+/// Grow one regression tree on the given row/feature subsets.
+///
+/// `grads`/`hesss` are full-length per-row derivative vectors; `rows` selects
+/// the (possibly subsampled) training rows; `features` the (possibly
+/// column-subsampled) distinct candidate split features. Leaf values are
+/// already multiplied by the learning rate.
+pub fn grow_tree(
     binned: &BinnedDataset,
     grads: &[f64],
     hesss: &[f64],
-    rows: &mut [u32],
-    scratch: &mut [u32],
-    hists: NodeHistograms,
+    rows: Vec<u32>,
     features: &[usize],
     config: &GbmConfig,
-    depth: usize,
-    stats: &mut GrowStats,
-) -> usize {
-    stats.count_node(depth);
-    let (g, h) = rows.iter().fold((0.0, 0.0), |(g, h), &r| {
-        (g + grads[r as usize], h + hesss[r as usize])
-    });
-    let totals = (g, h, rows.len() as u32);
+) -> Tree {
+    let mut pool = HistogramPool::default();
+    let mut stats = GrowStats::default();
+    grow_tree_observed(
+        binned, grads, hesss, rows, features, config, &mut pool, &mut stats,
+    )
+}
 
-    let split = if hists.is_empty() {
+/// [`grow_tree`], taking histogram storage from `pool` and accumulating
+/// construction telemetry into `stats` (histogram builds and subtractions,
+/// nodes created per depth).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn grow_tree_observed(
+    binned: &BinnedDataset,
+    grads: &[f64],
+    hesss: &[f64],
+    mut rows: Vec<u32>,
+    features: &[usize],
+    config: &GbmConfig,
+    pool: &mut HistogramPool,
+    stats: &mut GrowStats,
+) -> Tree {
+    let mut grower = Grower {
+        binned,
+        grads,
+        hesss,
+        features: features
+            .iter()
+            .copied()
+            .filter(|&f| binned.mapper(f).n_split_candidates() > 0)
+            .collect(),
+        config,
+        pool,
+        stats,
+        tree: Tree::default(),
+    };
+    let root_totals = totals(&rows, grads, hesss);
+    let split = if splittable(0, rows.len(), config) {
+        let mut set = grower.pool.take(binned, &grower.features);
+        let (best, _) = grower.pass(&rows, &mut set, Some(root_totals), None);
+        grower.keep(best, set)
+    } else {
         None
-    } else {
-        find_best_split(binned, &hists, features, totals, config)
     };
+    let mut scratch = vec![0u32; rows.len()];
+    let root = Node { totals: root_totals, split };
+    grower.build_node(&mut rows, &mut scratch, root, 0);
+    grower.tree
+}
 
-    match split {
-        None => {
-            let value = leaf_weight(g, h, config.lambda) * config.learning_rate;
-            tree.nodes.push(TreeNode::Leaf { value });
-            tree.nodes.len() - 1
-        }
-        Some(split) => {
-            let n_left = partition_in_place(binned, rows, scratch, &split);
-            debug_assert!(n_left > 0 && n_left < rows.len());
-            let threshold = binned.mapper(split.feature).threshold(split.split_bin);
-            // Reserve this node's slot before the children claim theirs.
-            let idx = tree.nodes.len();
-            tree.nodes.push(TreeNode::Leaf { value: 0.0 }); // placeholder
+/// One tree's construction state.
+struct Grower<'a> {
+    binned: &'a BinnedDataset,
+    grads: &'a [f64],
+    hesss: &'a [f64],
+    /// The candidate features that have split candidates, in candidate
+    /// order: the only ones histogrammed.
+    features: Vec<usize>,
+    config: &'a GbmConfig,
+    pool: &'a mut HistogramPool,
+    stats: &'a mut GrowStats,
+    tree: Tree,
+}
 
-            let (left_rows, right_rows) = rows.split_at_mut(n_left);
-            let (left_scratch, right_scratch) = scratch.split_at_mut(n_left);
-            let (left_hists, right_hists) = child_histograms(
-                binned, grads, hesss, left_rows, right_rows, hists, features, config, depth + 1,
-                stats,
-            );
+impl Grower<'_> {
+    /// Build the subtree rooted at the next free arena slot and return that
+    /// slot's index. `rows`/`scratch` are this node's slices of the
+    /// tree-wide row and scratch buffers.
+    fn build_node(
+        &mut self,
+        rows: &mut [u32],
+        scratch: &mut [u32],
+        node: Node,
+        depth: usize,
+    ) -> usize {
+        self.stats.count_node(depth);
+        let idx = self.tree.nodes.len();
+        let Some((split, set)) = node.split else {
+            let (g, h, _) = node.totals;
+            let value = leaf_weight(g, h, self.config.lambda) * self.config.learning_rate;
+            self.tree.nodes.push(TreeNode::Leaf { value });
+            return idx;
+        };
+        let n_left = partition_in_place(self.binned, rows, scratch, &split);
+        debug_assert!(n_left > 0 && n_left < rows.len());
+        // Reserve this node's slot before the children claim theirs.
+        self.tree.nodes.push(TreeNode::Leaf { value: 0.0 });
 
-            let left = build_node(
-                tree, binned, grads, hesss, left_rows, left_scratch, left_hists, features, config,
-                depth + 1, stats,
-            );
-            let right = build_node(
-                tree, binned, grads, hesss, right_rows, right_scratch, right_hists, features,
-                config, depth + 1, stats,
-            );
-            tree.nodes[idx] = TreeNode::Internal {
-                feature: split.feature,
-                threshold,
-                default_left: split.default_left,
-                left,
-                right,
-                gain: split.gain,
+        let (left_rows, right_rows) = rows.split_at_mut(n_left);
+        let (left_scratch, right_scratch) = scratch.split_at_mut(n_left);
+        let (left_node, right_node) = self.children(left_rows, right_rows, set, depth + 1);
+        let left = self.build_node(left_rows, left_scratch, left_node, depth + 1);
+        let right = self.build_node(right_rows, right_scratch, right_node, depth + 1);
+        self.tree.nodes[idx] = TreeNode::Internal {
+            feature: split.feature,
+            threshold: self.binned.mapper(split.feature).threshold(split.split_bin),
+            default_left: split.default_left,
+            left,
+            right,
+            gain: split.gain,
+        };
+        idx
+    }
+
+    /// The two children of a just-split node, from one pass: the smaller
+    /// child's histograms are accumulated from its rows and, when the
+    /// larger child can split, subtracted from the parent's in place, so
+    /// the parent's set becomes the larger child's. Each child that can
+    /// split is scanned in the same pass. When neither child can split, no
+    /// pass runs and the parent's set goes back to the pool.
+    fn children(
+        &mut self,
+        left_rows: &[u32],
+        right_rows: &[u32],
+        parent: HistogramSet,
+        depth: usize,
+    ) -> (Node, Node) {
+        let left_totals = totals(left_rows, self.grads, self.hesss);
+        let right_totals = totals(right_rows, self.grads, self.hesss);
+        let left_needs = splittable(depth, left_rows.len(), self.config);
+        let right_needs = splittable(depth, right_rows.len(), self.config);
+        let smaller_is_left = left_rows.len() <= right_rows.len();
+        let (small_rows, small_totals, small_needs, large_totals, large_needs) =
+            if smaller_is_left {
+                (left_rows, left_totals, left_needs, right_totals, right_needs)
+            } else {
+                (right_rows, right_totals, right_needs, left_totals, left_needs)
             };
-            idx
+        let (small_split, large_split) = if small_needs || large_needs {
+            let mut small_set = self.pool.take(self.binned, &self.features);
+            let mut large_set = parent;
+            let (small_best, large_best) = self.pass(
+                small_rows,
+                &mut small_set,
+                small_needs.then_some(small_totals),
+                large_needs.then_some((&mut large_set, large_totals)),
+            );
+            (self.keep(small_best, small_set), self.keep(large_best, large_set))
+        } else {
+            self.pool.give(parent);
+            (None, None)
+        };
+        let small = Node { totals: small_totals, split: small_split };
+        let large = Node { totals: large_totals, split: large_split };
+        if smaller_is_left {
+            (small, large)
+        } else {
+            (large, small)
         }
     }
-}
 
-/// Histograms for the two children of a just-split node, in one parallel
-/// pass over the features: each feature's smaller-child histogram is
-/// accumulated from its rows and, when the larger child can split,
-/// subtracted from the parent's histogram in place (the parent is
-/// consumed). Children that cannot split get empty histogram sets and
-/// cost nothing.
-#[allow(clippy::too_many_arguments)]
-fn child_histograms(
-    binned: &BinnedDataset,
-    grads: &[f64],
-    hesss: &[f64],
-    left_rows: &[u32],
-    right_rows: &[u32],
-    parent: NodeHistograms,
-    features: &[usize],
-    config: &GbmConfig,
-    child_depth: usize,
-    stats: &mut GrowStats,
-) -> (NodeHistograms, NodeHistograms) {
-    let left_needs = splittable(child_depth, left_rows.len(), config);
-    let right_needs = splittable(child_depth, right_rows.len(), config);
-    let smaller_is_left = left_rows.len() <= right_rows.len();
-    let (small_rows, small_needs, large_needs) = if smaller_is_left {
-        (left_rows, left_needs, right_needs)
-    } else {
-        (right_rows, right_needs, left_needs)
-    };
-    if !small_needs && !large_needs {
-        return (Vec::new(), Vec::new());
+    /// Pair a node's best split with the set it was found on. A node with
+    /// no split is a leaf, and its set goes back to the pool.
+    fn keep(
+        &mut self,
+        best: Option<SplitInfo>,
+        set: HistogramSet,
+    ) -> Option<(SplitInfo, HistogramSet)> {
+        match best {
+            Some(split) => Some((split, set)),
+            None => {
+                self.pool.give(set);
+                None
+            }
+        }
     }
 
-    // Each parent histogram is taken exactly once, by the chunk that owns
-    // its feature; a guard is held only for that `take`.
-    let parent: Vec<Mutex<Option<Vec<HistBin>>>> = if large_needs {
-        parent.into_iter().map(Mutex::new).collect()
-    } else {
-        Vec::new()
-    };
-    stats.histogram_builds += count_histogrammed(binned, features);
-    let t0 = std::time::Instant::now();
-    let pairs = safe_stats::par::par_map(config.parallelism, features.len(), |i| {
-        let f = features[i];
-        let mapper = binned.mapper(f);
-        if mapper.n_split_candidates() == 0 {
-            return (None, None);
-        }
-        let small = build_histogram(binned.bins(f), small_rows, grads, hesss, mapper.n_bins());
-        let large = parent
-            .get(i)
-            .and_then(|p| p.lock().unwrap_or_else(PoisonError::into_inner).take())
-            .map(|mut p| {
-                subtract_sibling(&mut p, &small);
-                p
-            });
-        (small_needs.then_some(small), large)
-    });
-    stats.hist_build_us += t0.elapsed().as_micros() as u64;
-    let (small, large): (NodeHistograms, NodeHistograms) = pairs.into_iter().unzip();
-    // None-ness is a pure function of the mapper, so parent and child
-    // entries align: every smaller-child histogram had a parent one.
-    stats.histogram_subtractions += large.iter().flatten().count() as u64;
-    let small = if small_needs { small } else { Vec::new() };
-    let large = if large_needs { large } else { Vec::new() };
-    if smaller_is_left {
-        (small, large)
-    } else {
-        (large, small)
-    }
-}
+    /// The histogram pass of the root and of every split node, as one
+    /// parallel call over the features. The chunk that owns a feature
+    /// zeroes its buffer in `built` and accumulates `rows` into it. When
+    /// `parent` is given, it subtracts that buffer from the parent's in
+    /// place, which turns the parent's into the sibling's histogram. It
+    /// then scans each side that has totals for its best split on the
+    /// feature.
+    ///
+    /// Returns the best split of the built side and of the parent side.
+    /// Ties resolve to the *last* of the equal-gain features in candidate
+    /// order (`Iterator::max_by` keeps the last maximum), for any thread
+    /// count.
+    fn pass(
+        &mut self,
+        rows: &[u32],
+        built: &mut HistogramSet,
+        built_totals: Option<Totals>,
+        parent: Option<(&mut HistogramSet, Totals)>,
+    ) -> (Option<SplitInfo>, Option<SplitInfo>) {
+        let (parent, parent_totals) = match parent {
+            Some((set, totals)) => (Some(set), Some(totals)),
+            None => (None, None),
+        };
+        // Hand each feature `&mut` to its own buffers; every job is locked
+        // once, by the chunk that owns its feature.
+        let mut built_bufs: Vec<Option<&mut Vec<HistBin>>> = built.iter_mut().map(Some).collect();
+        let mut parent_bufs: Vec<Option<&mut Vec<HistBin>>> = match parent {
+            Some(set) => set.iter_mut().map(Some).collect(),
+            None => Vec::new(),
+        };
+        let mut jobs: Vec<Mutex<FeatureJob>> = self
+            .features
+            .iter()
+            .filter_map(|&f| {
+                Some(Mutex::new(FeatureJob {
+                    feature: f,
+                    built: built_bufs[f].take()?,
+                    parent: parent_bufs.get_mut(f).and_then(Option::take),
+                    best: [None, None],
+                }))
+            })
+            .collect();
 
-/// Accumulate one node's per-feature histograms from its rows, in parallel
-/// across features. Features without split candidates are skipped (`None`).
-fn build_feature_histograms(
-    binned: &BinnedDataset,
-    rows: &[u32],
-    grads: &[f64],
-    hesss: &[f64],
-    features: &[usize],
-    config: &GbmConfig,
-    stats: &mut GrowStats,
-) -> NodeHistograms {
-    stats.histogram_builds += count_histogrammed(binned, features);
-    let t0 = std::time::Instant::now();
-    let histograms = safe_stats::par::par_map_slice(config.parallelism, features, |&f| {
-        let mapper = binned.mapper(f);
-        if mapper.n_split_candidates() == 0 {
-            return None;
-        }
-        Some(build_histogram(binned.bins(f), rows, grads, hesss, mapper.n_bins()))
-    });
-    stats.hist_build_us += t0.elapsed().as_micros() as u64;
-    histograms
-}
-
-/// How many of `features` get a histogram: those with split candidates.
-/// Counted serially before a parallel pass, so no atomics are needed.
-fn count_histogrammed(binned: &BinnedDataset, features: &[usize]) -> u64 {
-    features
-        .iter()
-        .filter(|&&f| binned.mapper(f).n_split_candidates() > 0)
-        .count() as u64
-}
-
-/// Best split across the candidate features from the node's prebuilt
-/// histograms; the scan runs in parallel across features. Ties resolve to
-/// the *last* of the equal-gain features in candidate order
-/// (`Iterator::max_by` keeps the last maximum), for any thread count.
-fn find_best_split(
-    binned: &BinnedDataset,
-    hists: &NodeHistograms,
-    features: &[usize],
-    totals: (f64, f64, u32),
-    config: &GbmConfig,
-) -> Option<SplitInfo> {
-    let candidates: Vec<Option<SplitInfo>> =
-        safe_stats::par::par_map(config.parallelism, features.len(), |i| {
-            let hist = hists[i].as_ref()?;
-            let f = features[i];
-            best_split_for_feature(
-                f,
-                hist,
-                binned.mapper(f).n_value_bins(),
-                totals,
-                config.lambda,
-                config.gamma,
-                config.min_child_weight,
-            )
+        let (binned, grads, hesss, config) = (self.binned, self.grads, self.hesss, self.config);
+        let t0 = Instant::now();
+        par_map(config.parallelism, jobs.len(), |i| {
+            let mut guard = jobs[i].lock().unwrap_or_else(PoisonError::into_inner);
+            let job = &mut *guard;
+            let f = job.feature;
+            build_histogram(job.built, binned.bins(f), rows, grads, hesss);
+            if let Some(parent) = job.parent.as_deref_mut() {
+                subtract_sibling(parent, job.built);
+            }
+            let n_value_bins = binned.mapper(f).n_value_bins();
+            let scan = |hist: &[HistBin], totals: Option<Totals>| {
+                let (lambda, gamma, mcw) = (config.lambda, config.gamma, config.min_child_weight);
+                totals.and_then(|t| {
+                    best_split_for_feature(f, hist, n_value_bins, t, lambda, gamma, mcw)
+                })
+            };
+            job.best = [
+                scan(job.built, built_totals),
+                job.parent.as_deref().and_then(|p| scan(p, parent_totals)),
+            ];
         });
-    candidates
-        .into_iter()
-        .flatten()
-        .max_by(|a, b| a.gain.total_cmp(&b.gain))
+        self.stats.hist_build_us += t0.elapsed().as_micros() as u64;
+        self.stats.histogram_builds += jobs.len() as u64;
+        if parent_totals.is_some() {
+            self.stats.histogram_subtractions += jobs.len() as u64;
+        }
+        let mut best = |side: usize| {
+            jobs.iter_mut()
+                .filter_map(|job| job.get_mut().unwrap_or_else(PoisonError::into_inner).best[side])
+                .max_by(|a, b| a.gain.total_cmp(&b.gain))
+        };
+        (best(0), best(1))
+    }
 }
 
 /// Stable in-place partition: rows routed left keep their order at the
@@ -519,8 +617,10 @@ mod tests {
         let (g, h) = grads_for(&labels);
         let config = GbmConfig { max_depth: 3, ..GbmConfig::default() };
         let mut stats = GrowStats::default();
+        let mut pool = HistogramPool::default();
+        let rows = (0..200).collect();
         let tree =
-            grow_tree_observed(&binned, &g, &h, (0..200).collect(), &[0, 1], &config, &mut stats);
+            grow_tree_observed(&binned, &g, &h, rows, &[0, 1], &config, &mut pool, &mut stats);
         assert!(tree.depth() >= 2, "need internal structure for this test");
         assert!(stats.histogram_subtractions > 0, "{stats:?}");
         assert!(stats.histogram_builds > 0, "{stats:?}");
@@ -551,6 +651,48 @@ mod tests {
                 TreeNode::Leaf { .. } => panic!("root must split (threads={threads})"),
             }
         }
+    }
+
+    #[test]
+    fn histogram_sets_are_recycled_across_trees() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+
+        let n = 200;
+        let cols: Vec<Vec<f64>> = (0..40)
+            .map(|f| (0..n).map(|i| ((i * (f + 3) * 7919) % 97) as f64).collect())
+            .collect();
+        let labels: Vec<u8> = (0..n).map(|i| ((i * 31 / 7) % 2) as u8).collect();
+        let binned = binned_of(cols);
+        let (g, h) = grads_for(&labels);
+        let config = GbmConfig {
+            max_depth: 4,
+            colsample: 0.7,
+            parallelism: Parallelism::new(2),
+            ..GbmConfig::default()
+        };
+        let all: Vec<usize> = (0..40).collect();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut pool = HistogramPool::default();
+        let mut stats = GrowStats::default();
+        for round in 0..20 {
+            // A different 70% column sample per tree, as the booster draws.
+            let mut features: Vec<usize> = all.choose_multiple(&mut rng, 28).copied().collect();
+            features.sort();
+            let rows: Vec<u32> = (0..n as u32).collect();
+            let tree = grow_tree_observed(
+                &binned, &g, &h, rows.clone(), &features, &config, &mut pool, &mut stats,
+            );
+            assert_eq!(tree, grow_tree(&binned, &g, &h, rows, &features, &config), "round {round}");
+            assert!(
+                pool.sets_created() <= config.max_depth + 1,
+                "round {round}: {} sets created",
+                pool.sets_created()
+            );
+        }
+        assert_eq!(pool.free.len(), pool.sets_created(), "every set went back to the pool");
+        assert!(stats.nodes_per_depth.len() > 3, "trees must grow deep: {stats:?}");
     }
 
     #[test]

@@ -11,15 +11,17 @@ pub struct HistBin {
     pub count: u32,
 }
 
-/// Build the gradient histogram of one feature over the rows of a node.
+/// Build the gradient histogram of one feature over the rows of a node
+/// into `hist`, which holds one cell per bin. Every cell is zeroed first,
+/// so a recycled buffer gives the same bits as a fresh one.
 pub fn build_histogram(
+    hist: &mut [HistBin],
     feature_bins: &[u16],
     rows: &[u32],
     grads: &[f64],
     hesss: &[f64],
-    n_bins: usize,
-) -> Vec<HistBin> {
-    let mut hist = vec![HistBin::default(); n_bins];
+) {
+    hist.fill(HistBin::default());
     for &r in rows {
         let r = r as usize;
         let b = feature_bins[r] as usize;
@@ -28,7 +30,6 @@ pub fn build_histogram(
         cell.hess += hesss[r];
         cell.count += 1;
     }
-    hist
 }
 
 /// Derive a sibling histogram by subtraction: `parent − child`, per bin, in
@@ -155,6 +156,12 @@ pub fn best_split_for_feature(
 mod tests {
     use super::*;
 
+    fn built(bins: &[u16], rows: &[u32], grads: &[f64], hesss: &[f64], n: usize) -> Vec<HistBin> {
+        let mut hist = vec![HistBin::default(); n];
+        build_histogram(&mut hist, bins, rows, grads, hesss);
+        hist
+    }
+
     fn totals_of(hist: &[HistBin]) -> (f64, f64, u32) {
         hist.iter().fold((0.0, 0.0, 0), |(g, h, n), b| {
             (g + b.grad, h + b.hess, n + b.count)
@@ -167,7 +174,7 @@ mod tests {
         let rows = vec![0u32, 1, 2, 3];
         let grads = vec![1.0, 2.0, 3.0, 4.0];
         let hesss = vec![0.1, 0.2, 0.3, 0.4];
-        let h = build_histogram(&bins, &rows, &grads, &hesss, 4);
+        let h = built(&bins, &rows, &grads, &hesss, 4);
         assert_eq!(h[0].count, 1);
         assert_eq!(h[1].count, 2);
         assert!((h[1].grad - 5.0).abs() < 1e-15);
@@ -181,9 +188,21 @@ mod tests {
         let rows = vec![0u32, 2];
         let grads = vec![1.0; 4];
         let hesss = vec![1.0; 4];
-        let h = build_histogram(&bins, &rows, &grads, &hesss, 3);
+        let h = built(&bins, &rows, &grads, &hesss, 3);
         assert_eq!(h[0].count, 1);
         assert_eq!(h[1].count, 1);
+    }
+
+    #[test]
+    fn a_recycled_buffer_is_zeroed_before_it_is_filled() {
+        let bins = vec![0u16, 2, 1, 2];
+        let rows = vec![0u32, 1, 3];
+        let grads = vec![0.5, -1.25, 2.0, 0.125];
+        let hesss = vec![0.25, 0.5, 0.125, 1.0];
+        let mut recycled = vec![HistBin { grad: 9.0, hess: -3.0, count: 7 }; 4];
+        build_histogram(&mut recycled, &bins, &rows, &grads, &hesss);
+        assert_eq!(recycled, built(&bins, &rows, &grads, &hesss, 4));
+        assert_eq!(recycled[3], HistBin::default(), "an unvisited bin is cleared");
     }
 
     #[test]
@@ -375,9 +394,9 @@ mod tests {
         let hesss = vec![0.25, 0.5, 0.125, 1.0, 0.75, 0.3125, 0.5, 0.25];
         let left: Vec<u32> = vec![0, 3, 6, 7]; // bins 0,0,3,3 — full bins move
         let right: Vec<u32> = vec![1, 2, 4, 5];
-        let parent = build_histogram(&bins, &rows, &grads, &hesss, 5);
-        let left_h = build_histogram(&bins, &left, &grads, &hesss, 5);
-        let right_h = build_histogram(&bins, &right, &grads, &hesss, 5);
+        let parent = built(&bins, &rows, &grads, &hesss, 5);
+        let left_h = built(&bins, &left, &grads, &hesss, 5);
+        let right_h = built(&bins, &right, &grads, &hesss, 5);
         let mut derived = parent.clone();
         subtract_sibling(&mut derived, &left_h);
         for (d, r) in derived.iter().zip(&right_h) {

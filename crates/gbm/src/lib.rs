@@ -24,9 +24,14 @@
 //! - per-feature gain/count importance ([`importance`]) and root→leaf-parent
 //!   path enumeration ([`tree::Tree::paths`]).
 //!
-//! Histogram construction is parallelized across features with the
-//! scoped-thread helper from `safe-stats`, mirroring the paper's
-//! "distributed computing" requirement.
+//! Split finding is parallelized across features on the persistent worker
+//! pool of `safe_stats::par`, mirroring the paper's "distributed
+//! computing" requirement. The root and every split node cost one parallel
+//! pass ([`grow`]): the chunk that owns a feature builds or subtracts its
+//! histograms and scans them for each child's best split. Histogram
+//! buffers come from one store per booster fit and are taken and given
+//! back only on the calling thread, so pool workers fill, zero and
+//! subtract buffers but never allocate or free one.
 //!
 //! Training failures surface as typed [`GbmError`]s rather than panics;
 //! with the `failpoints` feature the loop exposes named fault-injection

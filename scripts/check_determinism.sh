@@ -1,10 +1,13 @@
 #!/usr/bin/env sh
 # Verify the parallel determinism contract (DESIGN.md, "Parallel execution
 # & determinism contract"): the worker pool's unit tests must pass, the
-# serial-vs-parallel differential suite must show bit-identical outcomes
-# for threads in {1,2,4,7} with and without failpoints compiled in, and an
-# injected worker panic under threads=4 must degrade the iteration instead
-# of hanging or unwinding (failpoints build).
+# booster must grow the recorded golden bytes at threads {1,2,4}, agree
+# with the exact-greedy split oracle, and recycle its histogram sets
+# across trees, the serial-vs-parallel differential suite must show
+# bit-identical outcomes for threads in {1,2,4,7} with and without
+# failpoints compiled in, and an injected worker panic under threads=4
+# must degrade the iteration instead of hanging or unwinding (failpoints
+# build).
 #
 # Usage: scripts/check_determinism.sh
 
@@ -16,6 +19,12 @@ cd "$(dirname "$0")/.."
 echo "check_determinism: worker pool unit tests"
 cargo_test_some --quiet -p safe-stats par::
 
+echo "check_determinism: booster golden bytes and exact-greedy split oracle"
+cargo test --quiet -p safe-gbm --test grow_golden --test split_oracle
+
+echo "check_determinism: booster histogram sets are recycled across trees"
+cargo_test_some --quiet -p safe-gbm grow::tests::histogram_sets_are_recycled_across_trees
+
 echo "check_determinism: serial-vs-parallel differential suite"
 cargo test --quiet --test parallel_differential
 
@@ -26,4 +35,4 @@ echo "check_determinism: worker-panic smoke under threads=4 (failpoints)"
 cargo_test_some --quiet --features failpoints --test parallel_differential \
     failpoint_differential
 
-echo "check_determinism: OK — parallel runs are bit-identical and panic-safe"
+echo "check_determinism: OK — parallel runs are bit-identical and panic-safe, and the booster grows its recorded bytes and the oracle's splits"
