@@ -86,8 +86,10 @@ pub fn iv_filter(
 /// The kernel is the per-column moment cache ([`ExactMoments`]): NaN-free
 /// pairs reduce to one centered dot product that reproduces the two-pass
 /// `pearson` bit-for-bit, so the hot loop never re-derives means and
-/// variances per pair. Pairs touching a column with missing cells keep
-/// `pearson`'s pairwise deletion.
+/// variances per pair, and [`ExactMoments::rho_each`] runs a candidate's
+/// NaN-free pairs four to a sweep over the rows, each in its own row-order
+/// sum. Pairs touching a column with missing cells keep `pearson`'s
+/// pairwise deletion.
 pub fn redundancy_filter(
     train: &Dataset,
     survivors: &[(usize, f64)],
@@ -105,15 +107,28 @@ pub fn redundancy_filter(
             continue;
         }
         let moments = ExactMoments::of(train.read_column(candidate, &mut Vec::new())?);
-        let this = (candidate, moments.as_ref());
         // Compare against all kept features in parallel; any hit
         // disqualifies. Each chunk reports one hit flag, or its
         // lowest-index read failure, so the outcome is thread-invariant.
         pairs_compared += kept.len() as u64;
         let hits = try_par_chunks(par, kept.len(), |range| {
+            let chunk = &kept[range];
             let mut hit = false;
-            for (k, km) in &kept[range] {
-                hit |= pair_rho(train, this, (*k, km.as_ref()))?.abs() > theta;
+            // NaN-free pairs: one sweep over the rows per four kept columns.
+            if let Some(m) = &moments {
+                let nan_free: Vec<&ExactMoments> =
+                    chunk.iter().filter_map(|(_, km)| km.as_ref()).collect();
+                hit = m.rho_each(&nan_free).iter().any(|rho| rho.abs() > theta);
+            }
+            // Pairs with missing cells: pairwise deletion, on the columns as
+            // read (borrowed when resident), in kept order.
+            for (k, km) in chunk {
+                if moments.is_none() || km.is_none() {
+                    let (mut sa, mut sb) = (Vec::new(), Vec::new());
+                    let a = train.read_column(candidate, &mut sa)?;
+                    let b = train.read_column(*k, &mut sb)?;
+                    hit |= pearson(a, b).abs() > theta;
+                }
             }
             Ok::<bool, DataError>(hit)
         })?;
@@ -138,22 +153,6 @@ fn descending_iv(survivors: &[(usize, f64)]) -> Vec<(usize, f64)> {
             .then(a.0.cmp(&b.0))
     });
     order
-}
-
-/// Signed correlation of columns `a` and `b`, each given with its moments:
-/// the moment kernel when both columns are NaN-free (bitwise-equal to
-/// `pearson`), otherwise the pairwise-deletion `pearson` on the columns as
-/// read (borrowed when resident).
-fn pair_rho(
-    train: &Dataset,
-    (a, ma): (usize, Option<&ExactMoments>),
-    (b, mb): (usize, Option<&ExactMoments>),
-) -> Result<f64, DataError> {
-    if let (Some(ma), Some(mb)) = (ma, mb) {
-        return Ok(ma.rho(mb));
-    }
-    let (mut sa, mut sb) = (Vec::new(), Vec::new());
-    Ok(pearson(train.read_column(a, &mut sa)?, train.read_column(b, &mut sb)?))
 }
 
 /// Section IV-C3: rank the surviving candidates by average split gain of a

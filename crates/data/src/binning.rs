@@ -45,11 +45,14 @@ impl BinEdges {
         BinEdges { edges: cuts }
     }
 
-    /// Fit edges on a column. `NaN`s are ignored during fitting.
+    /// Fit edges on a column. Non-finite values are ignored during fitting.
     ///
-    /// Equal-frequency edges are the β-quantile cut points of the non-missing
+    /// Equal-frequency edges are the β-quantile cut points of the finite
     /// values, deduplicated — heavily tied columns therefore yield fewer than
-    /// β bins, matching standard WoE-binning practice.
+    /// β bins, matching standard WoE-binning practice. The cut of chunk `k`
+    /// is the order statistic at rank `k·n/β − 1` of the `n` finite values
+    /// sorted by `f64::total_cmp`; recursive selection finds those ranks and
+    /// the maximum in O(n log β) without sorting the column.
     pub fn fit(values: &[f64], n_bins: usize, strategy: BinStrategy) -> Result<Self, DataError> {
         if n_bins == 0 {
             return Err(DataError::ZeroBins);
@@ -61,23 +64,21 @@ impl BinEdges {
         }
         match strategy {
             BinStrategy::EqualFrequency => {
-                clean.sort_by(f64::total_cmp);
                 let n = clean.len();
+                // Rank of the upper edge of the k-th of n_bins
+                // equal-population chunks, then the maximum's.
+                let mut ranks: Vec<usize> = (1..n_bins)
+                    .map(|k| (k * n) / n_bins)
+                    .filter(|&pos| pos != 0 && pos < n)
+                    .map(|pos| pos - 1)
+                    .chain([n - 1])
+                    .collect();
+                ranks.dedup();
+                select_ranks(&mut clean, 0, &ranks);
                 let max = clean[n - 1];
-                let mut cuts = Vec::with_capacity(n_bins.saturating_sub(1));
-                for k in 1..n_bins {
-                    // Upper edge of the k-th of n_bins equal-population chunks.
-                    let pos = (k * n) / n_bins;
-                    if pos == 0 || pos >= n {
-                        continue;
-                    }
-                    let cut = clean[pos - 1];
-                    // A cut at (or past) the max would create an empty top
-                    // bin — every value falls at or below it.
-                    if cut < max {
-                        cuts.push(cut);
-                    }
-                }
+                // A cut at (or past) the max would create an empty top bin —
+                // every value falls at or below it.
+                let cuts = ranks.iter().map(|&r| clean[r]).filter(|&cut| cut < max).collect();
                 Ok(BinEdges::from_cuts(cuts))
             }
             BinStrategy::EqualWidth => {
@@ -133,6 +134,24 @@ impl BinEdges {
             n_bins: value_bins + usize::from(any_missing),
         }
     }
+}
+
+/// Reorder `values` so that `values[r - offset]` holds the value that
+/// sorting by `f64::total_cmp` puts at rank `r - offset`, for every `r` in
+/// `ranks` (ascending and distinct, each in `offset..offset + len`).
+///
+/// Selecting the middle rank splits the slice into the values below and
+/// above it, and each side recurses on its own ranks. Values equal under
+/// `total_cmp` have equal bits, so each selected slot holds exactly the
+/// bits the full sort would put there.
+fn select_ranks(values: &mut [f64], offset: usize, ranks: &[usize]) {
+    let mid = ranks.len() / 2;
+    let Some(&rank) = ranks.get(mid) else {
+        return;
+    };
+    let (below, _, above) = values.select_nth_unstable_by(rank - offset, f64::total_cmp);
+    select_ranks(below, offset, &ranks[..mid]);
+    select_ranks(above, rank + 1, &ranks[mid + 1..]);
 }
 
 /// Convenience: fit-and-assign in one step (what Algorithm 3 does per

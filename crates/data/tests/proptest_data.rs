@@ -103,3 +103,69 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn equal_frequency_cuts_match_the_sorted_reference(
+        values in column_with_ties(),
+        n_bins in prop_oneof![1usize..=12, 1usize..=300],
+    ) {
+        let got = BinEdges::fit(&values, n_bins, BinStrategy::EqualFrequency).unwrap();
+        let want = sorted_cuts(&values, n_bins);
+        let bits = |cuts: &[f64]| cuts.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(got.cuts()), bits(want.cuts()));
+    }
+}
+
+/// The equal-frequency cut code as it was before `BinEdges::fit` found its
+/// cuts by selection: sort every finite value, then read each cut at its
+/// rank. The property above requires the two to agree bit for bit.
+fn sorted_cuts(values: &[f64], n_bins: usize) -> BinEdges {
+    let mut clean: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
+    if clean.is_empty() {
+        return BinEdges::from_cuts(Vec::new());
+    }
+    clean.sort_by(f64::total_cmp);
+    let n = clean.len();
+    let max = clean[n - 1];
+    let mut cuts = Vec::new();
+    for k in 1..n_bins {
+        let pos = (k * n) / n_bins;
+        if pos == 0 || pos >= n {
+            continue;
+        }
+        let cut = clean[pos - 1];
+        if cut < max {
+            cuts.push(cut);
+        }
+    }
+    BinEdges::from_cuts(cuts)
+}
+
+/// Columns of 0 to 3,000 cells: either continuous, or drawn from a small
+/// palette (heavy ties) that includes NaN, ±∞, −0.0 and +0.0.
+fn column_with_ties() -> impl Strategy<Value = Vec<f64>> {
+    let len = prop_oneof![0usize..8, 0usize..=3_000];
+    (len, any::<bool>()).prop_flat_map(|(n, tied)| {
+        if tied {
+            prop::collection::vec(palette_cell(), n).boxed()
+        } else {
+            prop::collection::vec(-1e6f64..1e6, n).boxed()
+        }
+    })
+}
+
+fn palette_cell() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(-0.0f64),
+        Just(0.0f64),
+        (-3i32..4).prop_map(f64::from),
+        (-3i32..4).prop_map(|v| f64::from(v) * 0.5),
+        -1e6f64..1e6,
+    ]
+}

@@ -96,12 +96,17 @@ pub trait Operator: Send + Sync {
 
 /// A frozen operator ready to produce feature values.
 pub trait FittedOperator: Send + Sync {
-    /// Apply to whole columns (batch feature generation).
+    /// Apply to whole columns (batch feature generation): row `i` calls
+    /// [`FittedOperator::apply_row`] with `inputs[k][i]` in argument `k`,
+    /// gathered into one buffer reused across rows.
     fn apply(&self, inputs: &[&[f64]]) -> Vec<f64> {
         let n = inputs.first().map(|c| c.len()).unwrap_or(0);
+        let mut row = vec![0.0; inputs.len()];
         (0..n)
             .map(|i| {
-                let row: Vec<f64> = inputs.iter().map(|c| c[i]).collect();
+                for (arg, col) in row.iter_mut().zip(inputs) {
+                    *arg = col[i];
+                }
                 self.apply_row(&row)
             })
             .collect()

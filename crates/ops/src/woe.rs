@@ -6,7 +6,7 @@
 //! the supervised member used in the paper's domain.
 
 use crate::op::{FittedOperator, OpError, Operator};
-use safe_stats::iv::woe_bins;
+use safe_stats::iv::woe_table;
 
 /// Bin budget for the encoder.
 const WOE_BINS: usize = 10;
@@ -52,9 +52,9 @@ impl Operator for WoeEncode {
         )
         .map_err(|e| OpError::BadParams(e.to_string()))?;
         let cuts = edges.cuts().to_vec();
-        let bins = woe_bins(inputs[0], labels, WOE_BINS)
+        let bins = woe_table(&edges, inputs[0], labels)
             .map_err(|e| OpError::BadParams(e.to_string()))?;
-        // woe_bins yields value bins (+ missing bin only when one occurred);
+        // woe_table yields value bins (+ missing bin only when one occurred);
         // normalize to cuts.len()+1 value entries plus one missing entry.
         let n_value_bins = cuts.len() + 1;
         let mut table: Vec<f64> = bins.iter().map(|b| b.woe).collect();

@@ -8,7 +8,7 @@
 //! features with IV ≤ α (default α = 0.1, the lower edge of Table I's
 //! "medium predictor" band).
 
-use safe_data::binning::{bin_column, BinStrategy};
+use safe_data::binning::{BinEdges, BinStrategy};
 use safe_data::error::DataError;
 
 /// Table I of the paper: rule-of-thumb predictive-power bands for IV.
@@ -82,23 +82,42 @@ pub struct WoeBin {
 /// scorecard practice (0-count bins otherwise produce ±∞ WoE).
 const SMOOTH: f64 = 0.5;
 
-/// Compute WoE per bin from precomputed bin indices.
-pub fn woe_from_bins(bins: &[usize], n_bins: usize, labels: &[u8]) -> Vec<WoeBin> {
-    assert_eq!(bins.len(), labels.len(), "bins/labels length mismatch");
-    let mut pos = vec![0usize; n_bins];
-    let mut neg = vec![0usize; n_bins];
-    for (&b, &l) in bins.iter().zip(labels) {
+/// Equal-frequency-bin the feature (β bins, missing values in their own bin)
+/// and return the per-bin WoE table. `values` and `labels` of different
+/// lengths are [`DataError::LabelLengthMismatch`].
+pub fn woe_bins(values: &[f64], labels: &[u8], n_bins: usize) -> Result<Vec<WoeBin>, DataError> {
+    woe_table(&BinEdges::fit(values, n_bins, BinStrategy::EqualFrequency)?, values, labels)
+}
+
+/// The WoE table of `values` binned by `edges`: one entry per value bin,
+/// plus a trailing missing-value bin (non-finite values) only when one
+/// occurs. Each row's class is counted in the same pass that bins it.
+pub fn woe_table(
+    edges: &BinEdges,
+    values: &[f64],
+    labels: &[u8],
+) -> Result<Vec<WoeBin>, DataError> {
+    if values.len() != labels.len() {
+        return Err(DataError::LabelLengthMismatch { expected: values.len(), actual: labels.len() });
+    }
+    let value_bins = edges.n_value_bins();
+    let mut pos = vec![0usize; value_bins + 1];
+    let mut neg = vec![0usize; value_bins + 1];
+    for (&v, &l) in values.iter().zip(labels) {
+        let b = if v.is_finite() { edges.bin_of(v) } else { value_bins };
         if l == 1 {
             pos[b] += 1;
         } else {
             neg[b] += 1;
         }
     }
+    let any_missing = pos[value_bins] + neg[value_bins] > 0;
+    let n_bins = value_bins + usize::from(any_missing);
     let total_pos: usize = pos.iter().sum();
     let total_neg: usize = neg.iter().sum();
     let tp = total_pos as f64 + SMOOTH * n_bins as f64;
     let tn = total_neg as f64 + SMOOTH * n_bins as f64;
-    (0..n_bins)
+    Ok((0..n_bins)
         .map(|i| {
             let p_rate = (pos[i] as f64 + SMOOTH) / tp;
             let n_rate = (neg[i] as f64 + SMOOTH) / tn;
@@ -110,14 +129,7 @@ pub fn woe_from_bins(bins: &[usize], n_bins: usize, labels: &[u8]) -> Vec<WoeBin
                 iv_contribution: (p_rate - n_rate) * woe,
             }
         })
-        .collect()
-}
-
-/// Equal-frequency-bin the feature (β bins, missing values in their own bin)
-/// and return the per-bin WoE table.
-pub fn woe_bins(values: &[f64], labels: &[u8], n_bins: usize) -> Result<Vec<WoeBin>, DataError> {
-    let a = bin_column(values, n_bins, BinStrategy::EqualFrequency)?;
-    Ok(woe_from_bins(&a.bins, a.n_bins, labels))
+        .collect())
 }
 
 /// Information Value of a feature against binary labels (Algorithm 3 inner
@@ -208,6 +220,18 @@ mod tests {
             .collect();
         let iv = information_value(&values, &labels, 5).unwrap();
         assert!(iv > 1.0, "informative missingness should be captured, iv={iv}");
+    }
+
+    #[test]
+    fn length_mismatch_is_an_error() {
+        let mismatch = DataError::LabelLengthMismatch { expected: 3, actual: 2 };
+        assert_eq!(woe_bins(&[1.0, 2.0, 3.0], &[0, 1], 2), Err(mismatch.clone()));
+        assert_eq!(information_value(&[1.0, 2.0, 3.0], &[0, 1], 2), Err(mismatch));
+        let edges = BinEdges::from_cuts(vec![1.5]);
+        assert!(matches!(
+            woe_table(&edges, &[1.0], &[0, 1]),
+            Err(DataError::LabelLengthMismatch { expected: 1, actual: 2 })
+        ));
     }
 
     #[test]

@@ -100,7 +100,8 @@ pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
 /// making the fast path **bitwise-equal** to `pearson(a, b)` for NaN-free
 /// pairs — it is a caching layout, not an approximation. O(n) per pair
 /// instead of the two-pass routine's 2×O(n), with the per-column O(n)
-/// moment pass paid once.
+/// moment pass paid once; [`ExactMoments::rho_each`] runs the pairs of one
+/// column with up to four others in a single sweep over the rows.
 #[derive(Debug, Clone)]
 pub struct ExactMoments {
     /// `value - mean` per row, in row order.
@@ -136,14 +137,44 @@ impl ExactMoments {
     /// `pearson(a, b)`, bitwise-equal to the two-pass routine for the
     /// NaN-free columns this cache admits.
     pub fn rho(&self, other: &ExactMoments) -> f64 {
-        if self.dxx <= 0.0 || other.dxx <= 0.0 {
-            return 0.0;
+        let [rho] = self.rho_block([other]);
+        rho
+    }
+
+    /// [`ExactMoments::rho`] against every column of `others`, in order.
+    ///
+    /// Four columns at a time share one sweep over the rows (the last one to
+    /// three go one by one). Each pair keeps its own accumulator, summed in
+    /// row order with the same products as `rho`, so the four add chains
+    /// overlap while every result keeps its bits.
+    pub fn rho_each(&self, others: &[&ExactMoments]) -> Vec<f64> {
+        let mut blocks = others.chunks_exact(4);
+        let mut out: Vec<f64> =
+            blocks.by_ref().flat_map(|b| self.rho_block([b[0], b[1], b[2], b[3]])).collect();
+        out.extend(blocks.remainder().iter().map(|o| self.rho(o)));
+        out
+    }
+
+    /// `rho` against `K` columns from one sweep: `num[k]` sums
+    /// `self.centered[i] * others[k].centered[i]` over rows `i` in order.
+    fn rho_block<const K: usize>(&self, others: [&ExactMoments; K]) -> [f64; K] {
+        let n = others.iter().fold(self.centered.len(), |n, o| n.min(o.centered.len()));
+        let own = &self.centered[..n];
+        let theirs = others.map(|o| &o.centered[..n]);
+        let mut num = [0.0f64; K];
+        for (i, &ca) in own.iter().enumerate() {
+            for (acc, cb) in num.iter_mut().zip(&theirs) {
+                *acc += ca * cb[i];
+            }
         }
-        let mut num = 0.0f64;
-        for (ca, cb) in self.centered.iter().zip(&other.centered) {
-            num += ca * cb;
+        let mut rho = [0.0f64; K];
+        for ((r, num), other) in rho.iter_mut().zip(num).zip(others) {
+            if self.dxx <= 0.0 || other.dxx <= 0.0 {
+                continue;
+            }
+            *r = (num / (self.dxx.sqrt() * other.dxx.sqrt())).clamp(-1.0, 1.0);
         }
-        (num / (self.dxx.sqrt() * other.dxx.sqrt())).clamp(-1.0, 1.0)
+        rho
     }
 }
 

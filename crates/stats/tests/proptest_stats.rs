@@ -1,9 +1,21 @@
-//! Property tests local to safe-stats: describe/quantile/chi/par.
+//! Property tests local to safe-stats: describe/quantile/chi/par, and the
+//! redundancy scan's four-column Pearson sweep.
 
 use proptest::prelude::*;
 
 use safe_stats::chi::{chi_square, chi_square_pair};
 use safe_stats::describe::{describe, quantile};
+use safe_stats::pearson::{pearson, ExactMoments};
+
+/// A NaN-free column of `n` rows: continuous, a few tied levels, or
+/// constant (whose correlation `pearson` defines as 0).
+fn column(n: usize) -> impl Strategy<Value = Vec<f64>> {
+    prop_oneof![
+        prop::collection::vec(-1e3f64..1e3, n),
+        prop::collection::vec((-2i32..3).prop_map(f64::from), n),
+        (-10f64..10.0).prop_map(move |c| vec![c; n]),
+    ]
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -107,5 +119,29 @@ proptest! {
         let err = r.expect_err("panicking worker must yield Err");
         let needle = format!("boom at {panic_at}");
         prop_assert!(err.message.contains(&needle), "payload lost: {}", err.message);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `rho_each` sweeps up to four columns per pass over the rows; every
+    /// pair must still equal the two-pass `pearson`, signed and to the bit,
+    /// for 0 to 10 kept columns (so full blocks, partial blocks and none).
+    #[test]
+    fn four_column_sweep_is_bitwise_pearson(
+        cols in (prop_oneof![2usize..4, 2usize..200], 1usize..=11)
+            .prop_flat_map(|(n, m)| prop::collection::vec(column(n), m)),
+    ) {
+        let moments: Vec<ExactMoments> =
+            cols.iter().map(|c| ExactMoments::of(c).unwrap()).collect();
+        let kept: Vec<&ExactMoments> = moments[1..].iter().collect();
+        let swept = moments[0].rho_each(&kept);
+        prop_assert_eq!(swept.len(), kept.len());
+        for (k, rho) in swept.iter().enumerate() {
+            let two_pass = pearson(&cols[0], &cols[k + 1]);
+            prop_assert_eq!(rho.to_bits(), two_pass.to_bits(), "kept column {}", k);
+            prop_assert_eq!(rho.to_bits(), moments[0].rho(kept[k]).to_bits());
+        }
     }
 }
